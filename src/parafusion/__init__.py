@@ -4,6 +4,8 @@ over the half-scaled ambient, and the nine-module extension algebra.
 
 All computation is over int / Fraction; nothing here floats.
 """
+from types import ModuleType as _ModuleType
+
 from .fusion import (
     FusionVector,
     IrrLabel,
@@ -91,5 +93,9 @@ from .u5a import (
     verify_induction_tables,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "1.0.0"

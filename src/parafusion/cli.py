@@ -104,19 +104,22 @@ def _parse_matrix(rows, where: str, width: int | None = None):
     return tuple(out)
 
 
+def _parent_from_payload(payload: dict, where: str) -> Lattice:
+    parent_field = payload.get("parent")
+    if parent_field is None:
+        raise UsageError(f"{where}/parent: missing")
+    if isinstance(parent_field, dict):
+        return _lattice_from_payload(parent_field, f"{where}/parent")
+    if isinstance(parent_field, str):
+        return load_lattice(parent_field)
+    raise UsageError(f"{where}/parent: expected a path or object")
+
+
 def _lattice_from_payload(payload, where: str) -> Lattice:
     if not isinstance(payload, dict):
         raise UsageError(f"{where}: expected a JSON object")
     if "basis" in payload:
-        parent_field = payload.get("parent")
-        if parent_field is None:
-            raise UsageError(f"{where}/parent: missing")
-        if isinstance(parent_field, dict):
-            parent = _lattice_from_payload(parent_field, f"{where}/parent")
-        elif isinstance(parent_field, str):
-            parent = load_lattice(parent_field)
-        else:
-            raise UsageError(f"{where}/parent: expected a path or object")
+        parent = _parent_from_payload(payload, where)
         rows = _parse_matrix(payload["basis"], f"{where}/basis", parent.rank)
         try:
             return sublattice(parent, rows)
@@ -286,16 +289,14 @@ def cmd_rssd(args):
     payload_in = _read_json(args.path)
     if not isinstance(payload_in, dict) or "basis" not in payload_in:
         raise UsageError(f"{args.path}: expected a sublattice object with basis")
-    parent_field = payload_in.get("parent")
-    if parent_field is None:
-        raise UsageError(f"{args.path}/parent: missing")
-    if isinstance(parent_field, dict):
-        parent = _lattice_from_payload(parent_field, f"{args.path}/parent")
-    elif isinstance(parent_field, str):
-        parent = load_lattice(parent_field)
-    else:
-        raise UsageError(f"{args.path}/parent: expected a path or object")
+    parent = _parent_from_payload(payload_in, args.path)
     rows = _parse_matrix(payload_in["basis"], f"{args.path}/basis", parent.rank)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x.denominator != 1:
+                raise UsageError(
+                    f"{args.path}/basis/{i}/{j}: expected an integer, got {x}"
+                )
     ok = is_rssd(parent, rows)
     payload = {"rssd": ok}
     lines = [f"rssd: {ok}"]

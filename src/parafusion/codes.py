@@ -71,10 +71,15 @@ class Code:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         n = (self.p - 1) * self.d
-        gens = tuple(tuple(int(b) % 2 for b in g) for g in self.generators)
-        for g in gens:
+        gens = tuple(tuple(g) for g in self.generators)
+        for i, g in enumerate(gens):
             if len(g) != n:
                 raise ValueError(f"generator length {len(g)} != {n}")
+            for j, b in enumerate(g):
+                if type(b) is not int or b not in (0, 1):
+                    raise ValueError(
+                        f"generator {i} position {j}: bit {b!r} is not 0 or 1"
+                    )
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -157,11 +162,8 @@ def _f2_basis(rows: Sequence[Bits]) -> list[Bits]:
     return [tuple(b) for b in basis]
 
 
-@lru_cache(maxsize=None)
-def span(code: Code) -> tuple[Bits, ...]:
-    """All codewords, enumerated from an F2 basis of the generators."""
-    basis = _f2_basis(code.generators)
-    n = (code.p - 1) * code.d
+def _f2_span(basis: Sequence[Bits], n: int) -> list[Bits]:
+    """All 2^len(basis) F2 combinations of the length-n basis rows."""
     words = []
     for mask in range(1 << len(basis)):
         w = [0] * n
@@ -169,7 +171,14 @@ def span(code: Code) -> tuple[Bits, ...]:
             if (mask >> i) & 1:
                 w = [(a + b) % 2 for a, b in zip(w, row)]
         words.append(tuple(w))
-    return tuple(sorted(words))
+    return words
+
+
+@lru_cache(maxsize=None)
+def span(code: Code) -> tuple[Bits, ...]:
+    """All codewords, enumerated from an F2 basis of the generators."""
+    basis = _f2_basis(code.generators)
+    return tuple(sorted(_f2_span(basis, (code.p - 1) * code.d)))
 
 
 def code_dim(code: Code) -> int:
@@ -618,15 +627,8 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
     ham_basis = _f2_basis(hamming)
     if len(ham_basis) != 4:
         failures.append(f"glue code dimension {len(ham_basis)} != 4")
-    ham_words = []
-    for mask in range(1 << len(ham_basis)):
-        w = [0] * 8
-        for i, row in enumerate(ham_basis):
-            if (mask >> i) & 1:
-                w = [(a + b) % 2 for a, b in zip(w, row)]
-        ham_words.append(tuple(w))
     enum: dict[int, int] = {}
-    for w in ham_words:
+    for w in _f2_span(ham_basis, 8):
         enum[sum(w)] = enum.get(sum(w), 0) + 1
     if enum != {0: 1, 4: 14, 8: 1}:
         failures.append(f"glue code weight enumerator {sorted(enum.items())}")
@@ -672,7 +674,7 @@ def load_code(payload: dict) -> Code:
         return Code(
             p=int(payload["p"]),
             d=int(payload["d"]),
-            generators=tuple(tuple(int(b) for b in g) for g in payload["generators"]),
+            generators=tuple(tuple(g) for g in payload["generators"]),
         )
     except KeyError as exc:
         raise ValueError(f"code JSON missing field {exc}") from exc

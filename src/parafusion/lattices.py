@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .linalg import (
     Mat,
+    clear_denominators,
     coset_minimum,
     det,
     dot,
@@ -278,12 +279,7 @@ def annihilator(lat: Lattice, a_rows: Sequence[Sequence]) -> linalg.IntMat:
     """HNF basis of {x in L : <x, a> = 0 for all rows a}."""
     a = mat(a_rows)
     _require_integer_rows(a, "sublattice")
-    m = mat_mul(lat.gram, transpose(a))
-    scale = 1
-    for row in m:
-        for e in row:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    m_int = int_mat(mat_scale(m, scale))
+    _, m_int = clear_denominators(mat_mul(lat.gram, transpose(a)))
     ker = integer_row_kernel(m_int)
     out = hnf(ker)
     if len(out) + rank(a) != lat.rank:
@@ -437,11 +433,7 @@ def lattice_intersection(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence])
     """
     a, b = mat(rows_a), mat(rows_b)
     stacked = tuple(a) + tuple(tuple(-e for e in row) for row in b)
-    scale = 1
-    for row in stacked:
-        for e in row:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    m_int = int_mat(mat_scale(stacked, scale))
+    _, m_int = clear_denominators(stacked)
     ker = integer_row_kernel(m_int)
     vecs = [row_mul(vec(x[: len(a)]), a) for x in ker]
     if not vecs:

@@ -4,11 +4,16 @@ Everything operates on immutable tuples of tuples; entries are
 ``fractions.Fraction`` (rational routines) or ``int`` (integer lattice
 routines: Hermite and Smith normal forms, saturated kernels).  No
 floating point anywhere.
+
+Each ring has one elimination routine: ``_gauss_jordan`` over Q behind
+``mat_inv``, ``det``, ``solve_left`` and ``rank``, and
+``_hermite_with_transform`` over Z behind ``hnf`` and ``snf``.
+``clear_denominators`` takes rational rows to integer rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Sequence
 
 Mat = tuple[tuple[Fraction, ...], ...]
@@ -113,7 +118,37 @@ def mat_pow(m: Mat, e: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over Q
+# Gauss-Jordan elimination over Q
+
+
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Reduce ``rows`` in place to reduced row echelon form on the first
+    ``ncols`` columns; any later columns ride along.
+
+    Returns the pivot columns in order and the signed product of the
+    pivots, which is the determinant when the first ``ncols`` columns
+    form a nonsingular square matrix.
+    """
+    pivots: list[int] = []
+    pivot_product = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            pivot_product = -pivot_product
+        pivot_product *= rows[r][c]
+        inv_p = 1 / rows[r][c]
+        rows[r] = [x * inv_p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, pivot_product
 
 
 def mat_inv(m: Sequence[Sequence]) -> Mat:
@@ -121,38 +156,16 @@ def mat_inv(m: Sequence[Sequence]) -> Mat:
     n = len(m)
     aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    pivots, _ = _gauss_jordan(aug, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in aug)
 
 
 def det(m: Sequence[Sequence]) -> Fraction:
     n = len(m)
-    work = [list(map(Fraction, row)) for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = -result
-        result *= work[col][col]
-        inv_p = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv_p
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return result
+    pivots, pivot_product = _gauss_jordan([list(map(Fraction, row)) for row in m], n)
+    return pivot_product if len(pivots) == n else Fraction(0)
 
 
 def solve_left(basis: Sequence[Sequence], target: Sequence) -> Vec | None:
@@ -165,29 +178,13 @@ def solve_left(basis: Sequence[Sequence], target: Sequence) -> Vec | None:
     # Eliminate on the transposed system (cols x rows | target).
     aug = [[Fraction(basis[r][c]) for r in range(rows)] + [Fraction(target[c])]
            for c in range(cols)]
-    piv_of_col: list[int | None] = [None] * rows
-    row_at = 0
-    for c in range(rows):
-        pivot = next((r for r in range(row_at, cols) if aug[r][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[row_at], aug[pivot] = aug[pivot], aug[row_at]
-        inv_p = 1 / aug[row_at][c]
-        aug[row_at] = [x * inv_p for x in aug[row_at]]
-        for r in range(cols):
-            if r != row_at and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row_at])]
-        piv_of_col[c] = row_at
-        row_at += 1
+    pivots, _ = _gauss_jordan(aug, rows)
     # Inconsistency: a cleared row with nonzero rhs.
-    for r in range(row_at, cols):
-        if aug[r][rows] != 0:
-            return None
+    if any(aug[r][rows] != 0 for r in range(len(pivots), cols)):
+        return None
     y = [Fraction(0)] * rows
-    for c, pr in enumerate(piv_of_col):
-        if pr is not None:
-            y[c] = aug[pr][rows]
+    for r, c in enumerate(pivots):
+        y[c] = aug[r][rows]
     # Independent basis rows assumed; verify to be safe.
     if tuple(row_mul(y, mat(basis))) != tuple(Fraction(t) for t in target):
         return None
@@ -196,21 +193,7 @@ def solve_left(basis: Sequence[Sequence], target: Sequence) -> Vec | None:
 
 def rank(m: Sequence[Sequence]) -> int:
     work = [list(map(Fraction, row)) for row in m]
-    r = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv_p = 1 / work[r][c]
-        work[r] = [x * inv_p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return r
+    return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,37 +207,14 @@ def hnf(m: Sequence[Sequence[int]]) -> IntMat:
     [0, pivot); the row space over Z is preserved, so equal row lattices
     have equal HNFs.
     """
-    work = [list(row) for row in m]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        r = pivot_row
-        while True:
-            nz = [i for i in range(r, nrows) if work[i][col] != 0]
-            if not nz:
-                break
-            i_min = min(nz, key=lambda i: abs(work[i][col]))
-            work[r], work[i_min] = work[i_min], work[r]
-            if work[r][col] < 0:
-                work[r] = [-x for x in work[r]]
-            done = True
-            for i in range(r + 1, nrows):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[r][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-                    if work[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if r < nrows and work[r][col] != 0:
-            for i in range(r):
-                q = work[i][col] // work[r][col]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[r])]
-            pivot_row += 1
-    rows = [tuple(row) for row in work[:pivot_row]]
-    return tuple(rows)
+    return tuple(tuple(row) for row in _hermite_with_transform(m)[0] if any(row))
+
+
+def clear_denominators(m: Sequence[Sequence]) -> tuple[int, IntMat]:
+    """(s, s·m) with s the lcm of the denominators of the entries of m."""
+    rows = mat(m)
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, tuple(tuple(int(x * scale) for x in row) for row in rows)
 
 
 def rational_hnf(m: Sequence[Sequence]) -> Mat:
@@ -264,14 +224,8 @@ def rational_hnf(m: Sequence[Sequence]) -> Mat:
     back.  Two rational row sets generate the same lattice iff their
     canonical forms are equal.
     """
-    rows = mat(m)
-    denoms = [x.denominator for row in rows for x in row]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    scaled = [[int(x * scale) for x in row] for row in rows]
-    h = hnf(scaled)
-    return tuple(tuple(Fraction(x, scale) for x in row) for row in h)
+    scale, scaled = clear_denominators(m)
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in hnf(scaled))
 
 
 def _hermite_with_transform(m: Sequence[Sequence[int]]):
@@ -328,15 +282,6 @@ def _egcd(a: int, b: int) -> tuple[int, int]:
     return x0, y0
 
 
-def _int_mul(a, b):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if k else 0
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
-        for i in range(n)
-    ]
-
-
 def snf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form: returns (D, U, V) with U·m·V = D.
 
@@ -363,14 +308,12 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
         for _ in range(1000):
             h, p = _hermite_with_transform(a)
             a = h
-            u = _int_mul(p, u)
+            u = list(mat_mul(p, u))
             if off_diagonal_zero(a):
                 break
-            ht, q = _hermite_with_transform(
-                [[a[i][j] for i in range(nrows)] for j in range(ncols)]
-            )
-            a = [[ht[j][i] for j in range(ncols)] for i in range(nrows)]
-            v = _int_mul(v, [[q[j][i] for j in range(ncols)] for i in range(ncols)])
+            ht, q = _hermite_with_transform(transpose(a))
+            a = [list(row) for row in transpose(ht)]
+            v = [list(row) for row in mat_mul(v, transpose(q))]
             if off_diagonal_zero(a):
                 break
         else:

@@ -217,11 +217,7 @@ def verify_table(table: OrbifoldTable) -> TableReport:
             if table.product(gen, y) != generator_fuse(gen, y):
                 failures.append(("generator_row", gen, y))
 
-    for x in basis:
-        for y in basis:
-            for z, m in table.product(x, y):
-                if m and sign_character(x) * sign_character(y) != sign_character(z):
-                    failures.append(("sign_grading", x, y, z))
+    failures.extend(verify_sigma_grading(table).failures)
 
     single = {lab: FusionVector.from_pairs([(lab, 1)]) for lab in basis}
     for x in basis:

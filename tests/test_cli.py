@@ -320,3 +320,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "M[5,4] + M[2,0]"
+
+
+def test_rssd_fractional_basis_exit_two(capsys, tmp_path):
+    path = rssd_file(tmp_path, [["1/2", 0]])
+    code, out, err = run(capsys, "rssd", path)
+    assert code == 2
+    assert out == ""
+    assert f"{path}/basis/0/0" in err
+
+
+def test_lc_verify_rejects_bits_other_than_zero_and_one(capsys, tmp_path):
+    data = json.loads(
+        resources.files("parafusion").joinpath("golden/code_5b.json").read_text()
+    )
+    data["generators"] = [[2 if b == 0 else b for b in g] for g in data["generators"]]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "lc-verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert str(path) in err and "generator 0 position 1" in err

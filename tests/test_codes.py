@@ -218,3 +218,12 @@ def test_span_is_group():
     for a in ws:
         for b in ws:
             assert tuple((x + y) % 2 for x, y in zip(a, b)) in ws
+
+
+def test_code_rejects_bits_other_than_zero_and_one():
+    for bad in (2, -1, True, 1.0, "1"):
+        with pytest.raises(ValueError, match="generator 1 position 2"):
+            Code(p=3, d=2, generators=((1, 0, 1, 0), (0, 1, bad, 1)))
+    payload = {"p": 3, "d": 2, "generators": [[1, 2, 2, 2]]}
+    with pytest.raises(ValueError, match="generator 0 position 1"):
+        load_code(payload)

@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from parafusion.fusion import canonical_label, conformal_weight
+from parafusion.fusion import FusionVector, canonical_label, conformal_weight
 from parafusion.orbifold import (
+    OrbifoldTable,
     OrbLabel,
     derive_full_table,
     generator_fuse,
@@ -137,3 +138,17 @@ def test_sign_grading_holds_throughout():
                 for z, m in table.product(x, y):
                     if m:
                         assert sign_character(x) * sign_character(y) == sign_character(z)
+
+
+def test_sign_violation_reported_by_both_verifiers():
+    k = 5
+    table = derive_full_table(k)
+    products = {(x, y): table.product(x, y) for x in table.basis for y in table.basis}
+    x, y = OrbLabel(1, 0, k), OrbLabel(0, 0, k)
+    products[(x, y)] = FusionVector.from_pairs([(OrbLabel(1, 1, k), 1)])
+    broken = OrbifoldTable(k, products)
+    expected = ("sign_grading", x, y, OrbLabel(1, 1, k))
+    assert verify_sigma_grading(broken).failures == (expected,)
+    report = verify_table(broken)
+    assert not report.passed
+    assert expected in report.failures
