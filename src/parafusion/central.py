@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lattices import Isometry, Lattice
-from .linalg import int_mat, mat, mat_eq, mat_inv, mat_mul, mat_pow, transpose, vec
+from .linalg import mat, mat_eq, mat_inv, mat_mul, mat_pow, transpose, vec
 
 Bits = tuple[int, ...]
 BitMat = tuple[Bits, ...]

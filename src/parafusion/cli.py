@@ -158,6 +158,14 @@ def load_code(path: str):
     for field in ("p", "d", "generators"):
         if field not in payload:
             raise UsageError(f"{path}/{field}: missing")
+    for field in ("p", "d"):
+        if type(payload[field]) is not int:
+            raise UsageError(f"{path}/{field}: expected an integer, got {payload[field]!r}")
+    if not isinstance(payload["generators"], list):
+        raise UsageError(f"{path}/generators: expected a list of bit rows")
+    for i, g in enumerate(payload["generators"]):
+        if not isinstance(g, list):
+            raise UsageError(f"{path}/generators/{i}: expected a list of bits, got {g!r}")
     try:
         return codes_mod.load_code(payload)
     except (ValueError, AssertionError) as exc:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lattices import (
     Isometry,
@@ -39,17 +39,13 @@ from .linalg import (
     enumerate_quadratic,
     hnf,
     identity,
-    int_mat,
     mat,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_pow,
     mat_sub,
-    rational_hnf,
     row_mul,
-    solve_left,
-    transpose,
     vec,
 )
 
@@ -91,6 +87,7 @@ class Code:
         return tuple(word[i * m : (i + 1) * m] for i in range(self.d))
 
 
+@lru_cache(maxsize=None)
 def _cartan(p: int):
     return root_lattice("A", p - 1).gram
 
@@ -121,6 +118,7 @@ def k_quadratic(u: Sequence[int], p: int) -> int:
     return (total // 2) % 2
 
 
+@lru_cache(maxsize=None)
 def nu_block_bits(p: int) -> tuple[Bits, ...]:
     """The block-cycling isometry reduced mod 2 on block bit rows."""
     return tuple(tuple(e % 2 for e in row) for row in coxeter_nu(p))
@@ -186,16 +184,24 @@ def code_dim(code: Code) -> int:
 
 
 @lru_cache(maxsize=None)
+def _block_norm_counts(p: int, block: Bits, bound: Fraction) -> dict[Fraction, int]:
+    """Exact {norm: count} over the vectors of norm <= bound in the coset
+    (1/2)beta(block) + sqrt(2)A_{p-1}."""
+    lat = sqrt2_a(p - 1)
+    shift = vec(Q(b, 2) for b in block)
+    counts: dict[Fraction, int] = {}
+    for _, norm in enumerate_quadratic(lat.gram, bound, center=shift):
+        counts[norm] = counts.get(norm, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=None)
 def _block_coset_data(p: int, block: Bits):
     """Exact (min_norm, minimizer_count, norm_counts up to 4) for the coset
     (1/2)beta(block) + sqrt(2)A_{p-1}."""
     lat = sqrt2_a(p - 1)
-    shift = vec(Q(b, 2) for b in block)
-    mn, mins = coset_minimum(lat.gram, shift)
-    counts: dict[Fraction, int] = {}
-    for _, norm in enumerate_quadratic(lat.gram, Q(4), center=shift):
-        counts[norm] = counts.get(norm, 0) + 1
-    return mn, len(mins), counts
+    mn, mins = coset_minimum(lat.gram, vec(Q(b, 2) for b in block))
+    return mn, len(mins), _block_norm_counts(p, block, Q(4))
 
 
 def codeword_weight(code: Code, word: Bits) -> int:
@@ -253,6 +259,7 @@ _TYPE_KEYS = {
 }
 
 
+@lru_cache(maxsize=None)
 def ambient_lattice(code: Code) -> Lattice:
     """((1/2)N)^d: block Gram is half the A_{p-1} Cartan matrix."""
     n = code.p - 1
@@ -266,6 +273,7 @@ def ambient_lattice(code: Code) -> Lattice:
     return Lattice(g)
 
 
+@lru_cache(maxsize=None)
 def nu_ambient_matrix(code: Code):
     """Blockwise block-cycling isometry on the ambient coordinates."""
     n = code.p - 1
@@ -291,7 +299,7 @@ def classify_word(code: Code, word: Bits) -> str:
     amb = ambient_lattice(code)
     nu = nu_ambient_matrix(code)
     v = vec(word)
-    pairing = amb.inner(v, row_mul(v, mat(nu)))
+    pairing = amb.inner(v, row_mul(v, nu))
     key = (blocks_w, pairing)
     if key not in _TYPE_KEYS:
         raise ValueError(f"unclassifiable weight-4 word {word}: invariant {key}")
@@ -426,23 +434,29 @@ def nu_in_lattice(built: BuiltLattice):
     return m
 
 
-def shell4_count_by_cosets(code: Code) -> int:
-    """Number of norm-4 vectors of the glued lattice, by convolving exact
-    per-block coset norm counts over all codewords."""
+def shell_count_by_cosets(code: Code, norm) -> int:
+    """Number of vectors of the given norm in the glued lattice, by
+    convolving exact per-block coset norm counts over all codewords."""
+    norm = Q(norm)
     total = 0
     for w in span(code):
         poly = {Q(0): 1}
         for b in code.blocks(w):
-            counts = _block_coset_data(code.p, b)[2]
+            counts = _block_norm_counts(code.p, b, norm)
             nxt: dict[Fraction, int] = {}
             for acc, c1 in poly.items():
-                for norm, c2 in counts.items():
-                    s = acc + norm
-                    if s <= 4:
+                for block_norm, c2 in counts.items():
+                    s = acc + block_norm
+                    if s <= norm:
                         nxt[s] = nxt.get(s, 0) + c1 * c2
             poly = nxt
-        total += poly.get(Q(4), 0)
+        total += poly.get(norm, 0)
     return total
+
+
+def shell4_count_by_cosets(code: Code) -> int:
+    """Number of norm-4 vectors of the glued lattice, by coset convolution."""
+    return shell_count_by_cosets(code, 4)
 
 
 def glue_vector_rows(code: Code):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -22,7 +23,6 @@ from .linalg import (
     dot,
     hnf,
     identity,
-    int_identity,
     int_mat,
     integer_row_kernel,
     invariant_factors,
@@ -32,7 +32,6 @@ from .linalg import (
     mat_eq,
     mat_inv,
     mat_mul,
-    mat_pow,
     mat_scale,
     mat_sub,
     rank,
@@ -343,8 +342,9 @@ def shell(lat: Lattice, norm) -> list[tuple[int, ...]]:
         return [tuple([0] * lat.rank)]
     if lat.rank > 4:
         g2, u = size_reduce_basis(lat.gram)
+        cols = tuple(zip(*u))
         return [
-            tuple(int(e) for e in row_mul(vec(x), mat(u)))
+            tuple(sum(map(mul, x, col)) for col in cols)
             for x in shell_vectors(g2, norm)
         ]
     return shell_vectors(lat.gram, norm)

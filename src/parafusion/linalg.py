@@ -9,12 +9,18 @@ Each ring has one elimination routine: ``_gauss_jordan`` over Q behind
 ``mat_inv``, ``det``, ``solve_left`` and ``rank``, and
 ``_hermite_with_transform`` over Z behind ``hnf`` and ``snf``.
 ``clear_denominators`` takes rational rows to integer rows.
+
+``enumerate_quadratic`` (behind ``shell_vectors`` and ``coset_minimum``)
+takes the exact LDL^T decomposition over Q, scales its levels, the
+centre and the bound to integers once, and branches over ``int``s; the
+norms it reports are exact ``Fraction``s.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Sequence
+from math import floor, gcd, isqrt, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -396,13 +402,6 @@ def ldl(gram: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, c
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 def enumerate_quadratic(
     gram: Mat,
     bound: Fraction,
@@ -411,7 +410,14 @@ def enumerate_quadratic(
     """Yield (x, Q(x + center)) over integer x with Q(x + center) <= bound.
 
     Q is the quadratic form of ``gram``.  Branch and bound on the exact
-    LDL^T levels, deepest coordinate first.
+    LDL^T levels, deepest coordinate first, each coordinate ascending.
+
+    The levels are scaled once to integers: with Lc, M and T the lcms of
+    the denominators of the c_ij, the d_i and the centre, and S = Lc·T,
+    the node at level i has the integer offset O = S·(t_i + sum c_ij y_j)
+    and admits exactly the x_i with (S·x_i + O)^2 <= rem // (M·d_i),
+    where rem is the integer M·S^2·(bound - partial).  The reported
+    Q(x + center) is the exact ``Fraction`` of the scaled partial sum.
     """
     n = len(gram)
     if n == 0:
@@ -419,37 +425,34 @@ def enumerate_quadratic(
         return
     d, c = ldl(gram)
     t = [Fraction(0)] * n if center is None else [Fraction(x) for x in center]
+    c_scale = lcm(*(c[i][j].denominator for i in range(n) for j in range(i + 1, n)))
+    d_scale = lcm(*(di.denominator for di in d))
+    t_scale = lcm(*(ti.denominator for ti in t))
+    s = c_scale * t_scale
+    q_scale = d_scale * s * s
+    big_c = [[int(c_scale * c[i][j]) for j in range(i + 1, n)] for i in range(n)]
+    big_d = [int(d_scale * di) for di in d]
+    big_t = [int(t_scale * ti) for ti in t]
+    bound_int = floor(Fraction(bound) * q_scale)
+    if bound_int < 0:
+        return
     x = [0] * n
-    y = [Fraction(0)] * n  # y_i = x_i + t_i once chosen
+    y = [0] * n  # y_j = t_scale·(x_j + t_j) once chosen
 
-    def offsets(i: int) -> Fraction:
-        return t[i] + sum(c[i][j] * y[j] for j in range(i + 1, n))
-
-    def recurse(i: int, partial: Fraction):
-        if i < 0:
-            yield tuple(x), partial
-            return
-        off = offsets(i)
-        remaining = bound - partial
-        if remaining < 0:
-            return
-        limit = remaining / d[i]
-        f = _floor_sqrt(limit)
-        lo = -off - f
-        lo_int = lo.numerator // lo.denominator  # floor
-        hi = -off + f
-        hi_int = -((-hi.numerator) // hi.denominator)  # ceil
-        for xi in range(lo_int - 1, hi_int + 2):
-            step = d[i] * (xi + off) ** 2
-            if step > remaining:
-                continue
+    def recurse(i: int, partial: int):
+        off = c_scale * big_t[i] + sum(map(mul, big_c[i], y[i + 1 :]))
+        r = isqrt((bound_int - partial) // big_d[i])
+        di, ti = big_d[i], big_t[i]
+        for xi in range(-((off + r) // s), (r - off) // s + 1):
+            v = s * xi + off
             x[i] = xi
-            y[i] = xi + t[i]
-            yield from recurse(i - 1, partial + step)
-        x[i] = 0
-        y[i] = Fraction(0)
+            y[i] = t_scale * xi + ti
+            if i:
+                yield from recurse(i - 1, partial + di * v * v)
+            else:
+                yield tuple(x), Fraction(partial + di * v * v, q_scale)
 
-    yield from recurse(n - 1, Fraction(0))
+    yield from recurse(n - 1, 0)
 
 
 def shell_vectors(gram: Mat, norm: Fraction) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fusion import (
     IrrLabel,

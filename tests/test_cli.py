@@ -341,3 +341,21 @@ def test_lc_verify_rejects_bits_other_than_zero_and_one(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert str(path) in err and "generator 0 position 1" in err
+
+
+@pytest.mark.parametrize(
+    "payload, where",
+    [
+        ({"p": 5, "d": 4, "generators": [5]}, "/generators/0"),
+        ({"p": None, "d": 4, "generators": []}, "/p"),
+        ({"p": 5, "d": 4.5, "generators": []}, "/d"),
+        ({"p": 5, "d": 4, "generators": 7}, "/generators"),
+    ],
+)
+def test_lc_verify_malformed_code_fields_exit_two(capsys, tmp_path, payload, where):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "lc-verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}{where}:")

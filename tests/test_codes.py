@@ -21,6 +21,7 @@ from parafusion.codes import (
     one_minus_nu_dual_equals_lattice,
     orbit_classification,
     shell4_count_by_cosets,
+    shell_count_by_cosets,
     span,
 )
 from parafusion.lattices import Isometry, rescale, root_lattice, shell, sublattice
@@ -119,6 +120,18 @@ def test_no_norm_two_vectors():
 
 def test_shell4_by_coset_convolution():
     assert shell4_count_by_cosets(builtin_code("5B")) == 2640
+
+
+def test_shell6_direct_matches_coset_convolution():
+    code = builtin_code("5B")
+    built = build_lattice(code)
+    vecs = shell(built.lattice, 6)
+    assert len(vecs) == len(set(vecs)) == 41280
+    gram = [[int(e) for e in row] for row in built.lattice.gram]
+    for v in vecs:
+        w = [sum(x * g for x, g in zip(v, col)) for col in gram]
+        assert sum(x * y for x, y in zip(v, w)) == 6
+    assert shell_count_by_cosets(code, 6) == 41280
 
 
 def test_glue_form_values():

@@ -1,11 +1,13 @@
-"""Property tests for the exact elimination kernels in linalg.
+"""Property tests for the exact elimination and enumeration kernels in linalg.
 
 Each property checks a kernel against a route that does not share its
 elimination: the Leibniz expansion for determinants, direct products for
-inverses and solutions, the Smith route for ranks.
+inverses and solutions, the Smith route for ranks, and a brute-force
+search of a bounding box for the quadratic-form enumerator.
 """
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import permutations, product
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from parafusion.linalg import (
     _hermite_with_transform,
+    coset_minimum,
     det,
+    enumerate_quadratic,
     hnf,
     identity,
     integer_row_kernel,
@@ -143,3 +147,86 @@ def test_snf_diagonal_divisibility_chain(m):
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
     assert all(x > 0 for x in nonzero)
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+# ---------------------------------------------------------------------------
+# quadratic-form enumeration
+
+
+@st.composite
+def positive_definite(draw):
+    """A positive-definite rational Gram of rank 1..3: B·B^T for an integer
+    B, divided by a small integer or inverted (which gives thirds, fifths...)."""
+    n = draw(st.integers(1, 3))
+    b = draw(matrices(st.integers(-2, 2), n, n))
+    assume(leibniz(b) != 0)
+    g = [[Q(x) for x in row] for row in int_mul(b, [list(col) for col in zip(*b)])]
+    if draw(st.booleans()):
+        return mat_inv(g)
+    q = draw(st.sampled_from((1, 2, 3, 6)))
+    return [[x / q for x in row] for row in g]
+
+
+def form(gram, v):
+    return sum(v[i] * gram[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+def brute_force(gram, bound, center):
+    """Every (x, Q(x + center)) with Q <= bound, by scanning a box that holds
+    them all: |x_i + t_i| <= sqrt(bound · (gram^-1)_ii)."""
+    ginv = mat_inv(gram)
+    ranges = []
+    for i, t in enumerate(center):
+        r = bound * ginv[i][i]
+        reach = isqrt(-(-r.numerator // r.denominator)) + 1
+        ranges.append(range(int(-t) - reach - 1, int(-t) + reach + 2))
+    out = set()
+    for x in product(*ranges):
+        q = form(gram, [xi + t for xi, t in zip(x, center)])
+        if q <= bound:
+            out.add((x, q))
+    return out
+
+
+centres = st.builds(Q, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4, 6)))
+bounds = st.builds(Q, st.integers(0, 12), st.sampled_from((1, 2, 3)))
+
+
+@given(positive_definite(), bounds, st.data())
+def test_enumerate_quadratic_matches_brute_force(gram, bound, data):
+    center = data.draw(st.lists(centres, min_size=len(gram), max_size=len(gram)))
+    if data.draw(st.booleans()):
+        found = list(enumerate_quadratic(gram, bound))
+        center = [Q(0)] * len(gram)
+    else:
+        found = list(enumerate_quadratic(gram, bound, center=tuple(center)))
+    assert len(set(found)) == len(found)
+    assert set(found) == brute_force(gram, bound, center)
+
+
+@given(positive_definite(), st.data())
+def test_coset_minimum_matches_brute_force(gram, data):
+    shift = data.draw(st.lists(centres, min_size=len(gram), max_size=len(gram)))
+    norm, minimizers = coset_minimum(gram, tuple(shift))
+    # Q(x + shift) at x = -round(shift) bounds the minimum, so the box
+    # holds every minimizer.
+    nearest = [t - round(t) for t in shift]
+    pairs = brute_force(gram, form(gram, nearest), shift)
+    expected_norm = min(q for _, q in pairs)
+    assert norm == expected_norm
+    assert len(set(minimizers)) == len(minimizers)
+    assert set(minimizers) == {x for x, q in pairs if q == expected_norm}
+
+
+def test_enumerate_quadratic_a2_dual_with_rational_centre():
+    # The A2 dual has Gram (1/3)[[2, 1], [1, 2]]; its vectors of norm 2/3
+    # are the six minimal ones.
+    gram = [[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]]
+    found = list(enumerate_quadratic(gram, Q(2, 3)))
+    assert sorted(x for x, q in found if q == Q(2, 3)) == [
+        (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0),
+    ]
+    center = (Q(1, 3), Q(-1, 2))
+    assert set(enumerate_quadratic(gram, Q(3), center=center)) == brute_force(
+        gram, Q(3), center
+    )
