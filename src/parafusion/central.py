@@ -5,15 +5,20 @@ with eps(x, y) = x E y^T mod 2.  A lift of an isometry g is the pair
 (g, eta) where eta is a mod-2 quadratic form on L/2L whose polarization
 is eps + eps^g; powers, orders, compositions, and commuting lifts reduce
 to exact bit arithmetic.
+
+Lifts compose in closed form: x -> eta(x F) is the quadratic form with
+eta on the rows of F as its diagonal and F B F^T as its polarization
+(``pullback``), so no composite is rebuilt from its values.
+``quadratic_from_values`` does that rebuilding on all 2^n points, and is
+kept as a small-n oracle for checking the closed form.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lattices import Isometry, Lattice
-from .linalg import mat, mat_eq, mat_inv, mat_mul, mat_pow, transpose, vec
+from .linalg import int_mat, mat, mat_eq, mat_inv, mat_mul, mat_pow, transpose, vec
 
 Bits = tuple[int, ...]
 BitMat = tuple[Bits, ...]
@@ -119,8 +124,11 @@ def quadratic_from_values(values, n: int) -> F2QuadraticForm:
     """Canonicalize a callable on F2^n into (diagonal, polarization) form.
 
     The reconstruction is exact only for quadratic inputs, so it is
-    cross-checked on the whole space (small n) or a fixed sample.
+    cross-checked on all 2^n points.  That is exponential in n, so this
+    is an oracle for small n (at most 12); larger n raises ``ValueError``.
     """
+    if n > 12:
+        raise ValueError(f"exhaustive check needs n <= 12, got {n}")
     basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     diag = tuple(values(e) % 2 for e in basis)
     b = [[0] * n for _ in range(n)]
@@ -129,19 +137,18 @@ def quadratic_from_values(values, n: int) -> F2QuadraticForm:
             pair = tuple((basis[i][t] + basis[j][t]) % 2 for t in range(n))
             b[i][j] = b[j][i] = (values(pair) + diag[i] + diag[j]) % 2
     form = F2QuadraticForm(diag, F2BilinearForm(tuple(tuple(r) for r in b)))
-    if n <= 12:
-        points = (
-            tuple((w >> i) & 1 for i in range(n)) for w in range(1 << n)
-        )
-    else:
-        rng = random.Random(0)
-        points = (
-            tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(256)
-        )
-    for x in points:
+    for w in range(1 << n):
+        x = tuple((w >> i) & 1 for i in range(n))
         if form.value(x) != values(x) % 2:
             raise AssertionError("callable is not a quadratic form")
     return form
+
+
+def pullback(q: F2QuadraticForm, f: BitMat) -> F2QuadraticForm:
+    """The form x -> q(x f): q on the rows of f as its diagonal, and
+    f B f^T as its polarization."""
+    diagonal = tuple(q.value(row) for row in f)
+    return F2QuadraticForm(diagonal, q.polarization.conjugate(f))
 
 
 def standard_epsilon(lat: Lattice) -> F2BilinearForm:
@@ -270,16 +277,18 @@ def lift_order(lf: Lift, cap: int = 512) -> int:
 
 
 def compose(after: Lift, first: Lift) -> Lift:
-    """Lift of the composite map (apply ``first``, then ``after``)."""
+    """Lift of the composite map (apply ``first``, then ``after``).
+
+    Its eta is x -> eta_first(x) + eta_after(x first-bar), summed as
+    diagonals and as polarizations."""
     if after.lattice is not first.lattice and after.lattice.gram != first.lattice.gram:
         raise ValueError("lifts live on different lattices")
-    base = mat_mul(first.base, after.base)
-    fbar = first.base_mod2()
-
-    def values(x: Bits) -> int:
-        return (first.eta_value(x) + after.eta_value(bit_apply(x, fbar))) % 2
-
-    eta = quadratic_from_values(values, len(base))
+    base = mat_mul(int_mat(first.base), int_mat(after.base))
+    moved = pullback(after.eta, first.base_mod2())
+    eta = F2QuadraticForm(
+        tuple((a + b) % 2 for a, b in zip(first.eta.diagonal, moved.diagonal)),
+        first.eta.polarization + moved.polarization,
+    )
     return Lift(after.lattice, after.eps, base, eta)
 
 
@@ -287,13 +296,7 @@ def lift_inverse(lf: Lift) -> Lift:
     base = mat_inv(lf.base)
     if any(e.denominator != 1 for row in base for e in row):
         raise ValueError("base isometry is not invertible over the integers")
-    inv_bar = mod2_matrix(base)
-
-    def values(x: Bits) -> int:
-        return lf.eta_value(bit_apply(x, inv_bar))
-
-    eta = quadratic_from_values(values, len(base))
-    return Lift(lf.lattice, lf.eps, base, eta)
+    return Lift(lf.lattice, lf.eps, base, pullback(lf.eta, mod2_matrix(base)))
 
 
 def lift_power(lf: Lift, n: int) -> Lift:

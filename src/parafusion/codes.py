@@ -423,11 +423,18 @@ def build_lattice(code: Code) -> BuiltLattice:
     )
 
 
+@lru_cache(maxsize=None)
+def _basis_inverse(built: BuiltLattice):
+    """Inverse of the glued lattice's basis over the ambient coordinates."""
+    return mat_inv(mat(built.basis))
+
+
+@lru_cache(maxsize=None)
 def nu_in_lattice(built: BuiltLattice):
     """The block-cycling isometry in the glued lattice's own coordinates."""
     b = mat(built.basis)
     nu = mat(nu_ambient_matrix(built.code))
-    m = mat_mul(mat_mul(b, nu), mat_inv(b))
+    m = mat_mul(mat_mul(b, nu), _basis_inverse(built))
     if any(e.denominator != 1 for row in m for e in row):
         raise ValueError("code is not invariant: nu does not preserve the lattice")
     Isometry(m, built.lattice)
@@ -660,8 +667,7 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
         failures.append("M intersect M' nonzero")
 
     # Involutions: coordinates of M and M' over the glued lattice.
-    b = mat(built.basis)
-    b_inv = mat_inv(b)
+    b_inv = _basis_inverse(built)
     m_in_lc = [row_mul(vec(r), b_inv) for r in m_rows]
     mp_in_lc = [row_mul(vec(r), b_inv) for r in mprime_rows]
     for rows in (m_in_lc, mp_in_lc):

@@ -23,6 +23,7 @@ from .linalg import (
     dot,
     hnf,
     identity,
+    int_identity,
     int_mat,
     integer_row_kernel,
     invariant_factors,
@@ -184,10 +185,14 @@ class Isometry:
     lattice: Lattice
 
     def __post_init__(self):
+        # With m = M/s and gram = G/t over int, m·gram·m^T = gram is
+        # M·G·M^T = s^2·G.
         m = mat(self.matrix)
         object.__setattr__(self, "matrix", m)
-        g = self.lattice.gram
-        if not mat_eq(mat_mul(mat_mul(m, g), transpose(m)), g):
+        s, big_m = clear_denominators(m)
+        _, big_g = clear_denominators(self.lattice.gram)
+        image = mat_mul(mat_mul(big_m, big_g), transpose(big_m))
+        if not mat_eq(image, mat_scale(big_g, s * s)):
             raise ValueError("matrix does not preserve the gram form")
 
     def is_integral(self) -> bool:
@@ -197,12 +202,15 @@ class Isometry:
         return row_mul(vec(x), self.matrix)
 
     def order(self, cap: int = 512) -> int:
-        p = self.matrix
-        ident = identity(self.lattice.rank)
+        """Least n <= cap with m^n = 1, checked over int as M^n = s^n·I."""
+        s, big_m = clear_denominators(self.matrix)
+        ident = int_identity(self.lattice.rank)
+        p, scale = big_m, s
         for n in range(1, cap + 1):
-            if mat_eq(p, ident):
+            if mat_eq(p, mat_scale(ident, scale)):
                 return n
-            p = mat_mul(p, self.matrix)
+            p = mat_mul(p, big_m)
+            scale *= s
         raise ValueError(f"order exceeds cap {cap}")
 
     def is_fixed_point_free(self) -> bool:

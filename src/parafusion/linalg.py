@@ -220,7 +220,9 @@ def clear_denominators(m: Sequence[Sequence]) -> tuple[int, IntMat]:
     """(s, s·m) with s the lcm of the denominators of the entries of m."""
     rows = mat(m)
     scale = lcm(*(x.denominator for row in rows for x in row))
-    return scale, tuple(tuple(int(x * scale) for x in row) for row in rows)
+    return scale, tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
+    )
 
 
 def rational_hnf(m: Sequence[Sequence]) -> Mat:
@@ -419,11 +421,18 @@ def enumerate_quadratic(
     where rem is the integer M·S^2·(bound - partial).  The reported
     Q(x + center) is the exact ``Fraction`` of the scaled partial sum.
     """
-    n = len(gram)
-    if n == 0:
+    if len(gram) == 0:
         yield (), Fraction(0)
         return
     d, c = ldl(gram)
+    yield from _branch_and_bound(d, c, bound, center)
+
+
+def _branch_and_bound(
+    d: list[Fraction], c: list[list[Fraction]], bound: Fraction, center: Vec | None
+) -> Iterable[tuple[tuple[int, ...], Fraction]]:
+    """``enumerate_quadratic`` on the LDL^T levels (d, c) of a nonempty Gram."""
+    n = len(d)
     t = [Fraction(0)] * n if center is None else [Fraction(x) for x in center]
     c_scale = lcm(*(c[i][j].denominator for i in range(n) for j in range(i + 1, n)))
     d_scale = lcm(*(di.denominator for di in d))
@@ -493,7 +502,7 @@ def coset_minimum(gram: Mat, shift: Vec) -> tuple[Fraction, list[tuple[int, ...]
         upper += d[i] * (best + off) ** 2
     best_norm = upper
     best_vecs: list[tuple[int, ...]] = []
-    for x, q in enumerate_quadratic(gram, upper, center=shift):
+    for x, q in _branch_and_bound(d, c, upper, shift):
         if q < best_norm:
             best_norm = q
             best_vecs = [x]

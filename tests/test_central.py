@@ -1,7 +1,11 @@
 """Central extensions: cocycle bits, lifts, orders, commuting corrections."""
 import random
+from fractions import Fraction as Q
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafusion.central import (
     F2BilinearForm,
@@ -25,8 +29,16 @@ from parafusion.central import (
     standard_epsilon,
     theta_lift,
 )
-from parafusion.lattices import coxeter_nu, root_lattice, sqrt2_a
-from parafusion.linalg import identity
+from parafusion.lattices import (
+    Isometry,
+    Lattice,
+    coxeter_nu,
+    rescale,
+    root_lattice,
+    sqrt2_a,
+    tau_isometry,
+)
+from parafusion.linalg import identity, mat, mat_eq, mat_mul, mat_pow
 
 
 def all_bits(n):
@@ -277,3 +289,78 @@ def test_commuting_lift_tau():
     assert lifts_equal(check, lift_power(nu_hat, 3))
     with pytest.raises(ValueError):
         commuting_lift(tau_isometry(5, 2), nu_hat, 2)  # wrong exponent
+
+
+# --- closed-form composition against the value oracle --------------------
+
+
+@st.composite
+def lift_lists(draw, count):
+    """``count`` random lifts on one lattice (sqrt2 A_n or A_n, n <= 8):
+    powers of nu, -1 or a tau, each with a random eta diagonal."""
+    k = draw(st.integers(3, 9))
+    n = k - 1
+    lat = sqrt2_a(n) if draw(st.booleans()) else root_lattice("A", n)
+    eps = standard_epsilon(lat)
+    gens = [coxeter_nu(k), neg_identity(n)]
+    gens += [tau_isometry(k, s) for s in range(2, k) if gcd(s, k) == 1]
+    out = []
+    for _ in range(count):
+        g = mat_pow(mat(draw(st.sampled_from(gens))), draw(st.integers(0, k - 1)))
+        diag = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        out.append(lift(g, lat, eps, diag))
+    return out
+
+
+@settings(max_examples=60)
+@given(lift_lists(2))
+def test_compose_matches_value_oracle(lifts):
+    after, first = lifts
+    fbar = first.base_mod2()
+    oracle = quadratic_from_values(
+        lambda x: (first.eta_value(x) + after.eta_value(bit_apply(x, fbar))) % 2,
+        after.lattice.rank,
+    )
+    got = compose(after, first)
+    assert got.eta == oracle
+    assert mat_eq(got.base, mat_mul(first.base, after.base))
+
+
+@settings(max_examples=60)
+@given(lift_lists(1))
+def test_lift_inverse_matches_value_oracle(lifts):
+    (lf,) = lifts
+    inv = lift_inverse(lf)
+    inv_bar = inv.base_mod2()
+    oracle = quadratic_from_values(
+        lambda x: lf.eta_value(bit_apply(x, inv_bar)), lf.lattice.rank
+    )
+    assert inv.eta == oracle
+    assert mat_eq(mat_mul(inv.base, lf.base), identity(lf.lattice.rank))
+
+
+@settings(max_examples=60)
+@given(lift_lists(3))
+def test_compose_is_associative(lifts):
+    a, b, c = lifts
+    assert lifts_equal(compose(a, compose(b, c)), compose(compose(a, b), c))
+
+
+def test_quadratic_from_values_is_small_n_only():
+    with pytest.raises(ValueError):
+        quadratic_from_values(lambda x: 0, 13)
+
+
+# --- rational isometries --------------------------------------------------
+
+
+def test_isometry_accepts_rational_reflection():
+    # Reflection of Z^2 in v = (1, 2): x -> x - 2 (x.v / v.v) v.
+    r = ((Q(3, 5), Q(-4, 5)), (Q(-4, 5), Q(-3, 5)))
+    for lat in (Lattice(identity(2)), rescale(Lattice(identity(2)), Q(1, 3))):
+        iso = Isometry(r, lat)
+        assert iso.order() == 2
+        assert not iso.is_integral()
+        bent = ((Q(4, 5), Q(-4, 5)), r[1])
+        with pytest.raises(ValueError):
+            Isometry(bent, lat)

@@ -160,6 +160,25 @@ def test_nu_inside_lattice():
     assert iso.is_integral()
 
 
+def test_nu_in_lattice_inverts_the_basis_once(monkeypatch):
+    import parafusion.codes as codes_mod
+
+    built = build_lattice(builtin_code("5B"))
+    basis = mat(built.basis)
+    inverted = []
+    real_inv = codes_mod.mat_inv
+
+    def counting_inv(m):
+        inverted.append(mat(m) == basis)
+        return real_inv(m)
+
+    monkeypatch.setattr(codes_mod, "mat_inv", counting_inv)
+    assert one_minus_nu_dual_equals_lattice(built)
+    assert build_ee8_pair(built).passed
+    assert inverted.count(True) == 1
+    assert nu_in_lattice(built) is nu_in_lattice(built)
+
+
 def sqrt2_a4_certificate(lat):
     """Find a basis of lat whose Gram is exactly the doubled A4 Cartan."""
     target = rescale(root_lattice("A", 4), 2).gram

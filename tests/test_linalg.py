@@ -198,6 +198,23 @@ def test_shell_vectors_come_in_pairs():
     assert all((tuple(-c for c in x) in {tuple(y) for y in sh}) for x in sh)
 
 
+def test_coset_minimum_decomposes_once(monkeypatch):
+    import parafusion.linalg as linalg_mod
+    from parafusion.lattices import sqrt2_a
+
+    calls = []
+    real_ldl = linalg_mod.ldl
+
+    def counting_ldl(gram):
+        calls.append(gram)
+        return real_ldl(gram)
+
+    monkeypatch.setattr(linalg_mod, "ldl", counting_ldl)
+    best, minimizers = coset_minimum(sqrt2_a(4).gram, (Q(1, 2), 0, Q(1, 2), 0))
+    assert len(calls) == 1
+    assert (best, len(minimizers)) == (2, 6)
+
+
 def test_coset_minimum_against_brute_force():
     gram = mat([[2, -1], [-1, 2]])
     shift = (Q(1, 3), Q(1, 3))

@@ -29,3 +29,17 @@ def test_modules_use_every_imported_name():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_no_module_imports_random():
+    # An exact library makes no sampled checks.
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(n.split(".")[0] != "random" for n in names), path.name
