@@ -4,7 +4,8 @@ An even lattice L carries a standard 2-cocycle given by a bit matrix E
 with eps(x, y) = x E y^T mod 2.  A lift of an isometry g is the pair
 (g, eta) where eta is a mod-2 quadratic form on L/2L whose polarization
 is eps + eps^g; powers, orders, compositions, and commuting lifts reduce
-to exact bit arithmetic.
+to exact bit arithmetic, on rows packed into ints by ``linalg``'s F2
+section; each form packs its rows once.
 
 Lifts compose in closed form: x -> eta(x F) is the quadratic form with
 eta on the rows of F as its diagonal and F B F^T as its polarization
@@ -14,11 +15,14 @@ kept as a small-n oracle for checking the closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .lattices import Isometry, Lattice
-from .linalg import int_mat, mat, mat_eq, mat_inv, mat_mul, mat_pow, transpose, vec
+from .linalg import (
+    f2_echelon, f2_pack, f2_row_mul, f2_unpack, int_identity, int_mat, mat, mat_inv,
+    mat_mul, mat_pow, mat_scale, row_mul, vec,
+)
 
 Bits = tuple[int, ...]
 BitMat = tuple[Bits, ...]
@@ -30,34 +34,33 @@ def mod2_matrix(m: Sequence[Sequence]) -> BitMat:
 
 def bit_apply(x: Bits, m: BitMat) -> Bits:
     """Row vector times bit matrix over F2."""
-    n = len(m[0])
-    return tuple(
-        sum(x[i] * m[i][j] for i in range(len(x))) % 2 for j in range(n)
-    )
+    return f2_unpack(f2_row_mul(f2_pack(x), [f2_pack(r) for r in m]), len(m[0]))
 
 
 def f2_solve_unique(a: BitMat, b: Bits) -> Bits:
-    """Unique solution x of A x = b over F2; raises on a singular system."""
+    """Unique solution x of A x = b over F2; raises on a singular system.
+
+    Forward echelon on the rows of (A | b), b at bit n, then
+    back-substitution from the last pivot down."""
     n = len(a)
-    rows = [list(a[i]) + [b[i]] for i in range(n)]
-    piv_col_of_row = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, n) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                rows[i] = [(u + v) % 2 for u, v in zip(rows[i], rows[r])]
-        piv_col_of_row.append(c)
-        r += 1
-    if r < n:
+    echelon = f2_echelon(f2_pack(row) | (int(bi) & 1) << n for row, bi in zip(a, b))
+    pivots = [(r & -r).bit_length() - 1 for r in echelon]
+    if len(echelon) < n or any(p >= n for p in pivots):
         raise ValueError("singular F2 system; fixed-point-free odd order required")
-    x = [0] * n
-    for row_i, c in enumerate(piv_col_of_row):
-        x[c] = rows[row_i][n]
-    return tuple(x)
+    x = 0
+    for p, r in sorted(zip(pivots, echelon), reverse=True):
+        x |= (((r >> n) + (r & x).bit_count()) & 1) << p
+    return f2_unpack(x, n)
+
+
+def _require_alternating(b: BitMat, error: type, diagonal: str, symmetric: str):
+    """Raise ``error`` with the message for the first fault, row by row,
+    that keeps b from being symmetric with zero diagonal."""
+    for i, row in enumerate(b):
+        if row[i]:
+            raise error(diagonal)
+        if tuple(row) != tuple(r[i] for r in b):
+            raise error(symmetric)
 
 
 @dataclass(frozen=True)
@@ -65,26 +68,29 @@ class F2BilinearForm:
     """Bit matrix B with value(x, y) = x B y^T mod 2."""
 
     matrix: BitMat
+    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", tuple(map(f2_pack, self.matrix)))
 
     def value(self, x: Bits, y: Bits) -> int:
-        return sum(
-            x[i] * self.matrix[i][j] * y[j]
-            for i in range(len(x))
-            for j in range(len(y))
-        ) % 2
+        return (f2_row_mul(f2_pack(x), self._rows) & f2_pack(y)).bit_count() & 1
 
     def __add__(self, other: "F2BilinearForm") -> "F2BilinearForm":
+        if len(self.matrix) != len(other.matrix):
+            raise ValueError("bilinear forms of different sizes")
+        n = len(self.matrix[0]) if self.matrix else 0
         return F2BilinearForm(
-            tuple(
-                tuple((a + b) % 2 for a, b in zip(ra, rb))
-                for ra, rb in zip(self.matrix, other.matrix)
-            )
+            tuple(f2_unpack(a ^ b, n) for a, b in zip(self._rows, other._rows))
         )
 
     def conjugate(self, g_mod2: BitMat) -> "F2BilinearForm":
         """Pullback along g: value(x g, y g), i.e. matrix g E g^T."""
-        m = mat_mul(mat_mul(g_mod2, self.matrix), transpose(g_mod2))
-        return F2BilinearForm(mod2_matrix(m))
+        g = [f2_pack(r) for r in g_mod2]
+        gb = [f2_row_mul(a, self._rows) for a in g]
+        return F2BilinearForm(
+            tuple(tuple((a & b).bit_count() & 1 for b in g) for a in gb)
+        )
 
 
 @dataclass(frozen=True)
@@ -97,27 +103,28 @@ class F2QuadraticForm:
 
     diagonal: Bits
     polarization: F2BilinearForm
+    # The packed diagonal, and the polarization rows above the diagonal.
+    _diag: int = field(init=False, repr=False, compare=False)
+    _upper: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = self.polarization.matrix
-        n = len(self.diagonal)
-        if len(b) != n:
+        if len(b) != len(self.diagonal):
             raise ValueError("diagonal and polarization sizes differ")
-        for i in range(n):
-            if b[i][i] != 0:
-                raise ValueError("polarization must have zero diagonal")
-            for j in range(n):
-                if b[i][j] != b[j][i]:
-                    raise ValueError("polarization must be symmetric")
+        _require_alternating(
+            b, ValueError, "polarization must have zero diagonal",
+            "polarization must be symmetric",
+        )
+        object.__setattr__(self, "_diag", f2_pack(self.diagonal))
+        rows = enumerate(self.polarization._rows)
+        object.__setattr__(self, "_upper", tuple(r >> i + 1 << i + 1 for i, r in rows))
 
     def value(self, x: Bits) -> int:
-        n = len(self.diagonal)
-        total = sum(self.diagonal[i] * x[i] for i in range(n))
-        b = self.polarization.matrix
-        total += sum(
-            x[i] * x[j] * b[i][j] for i in range(n) for j in range(i + 1, n)
-        )
-        return total % 2
+        return self._packed_value(f2_pack(x))
+
+    def _packed_value(self, x: int) -> int:
+        # sum_i d_i x_i + sum_{i<j} x_i B_ij x_j = (d + x U) . x, U = upper(B)
+        return ((self._diag ^ f2_row_mul(x, self._upper)) & x).bit_count() & 1
 
 
 def quadratic_from_values(values, n: int) -> F2QuadraticForm:
@@ -129,16 +136,15 @@ def quadratic_from_values(values, n: int) -> F2QuadraticForm:
     """
     if n > 12:
         raise ValueError(f"exhaustive check needs n <= 12, got {n}")
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    diag = tuple(values(e) % 2 for e in basis)
+    diag = tuple(values(f2_unpack(1 << i, n)) % 2 for i in range(n))
     b = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            pair = tuple((basis[i][t] + basis[j][t]) % 2 for t in range(n))
+            pair = f2_unpack(1 << i | 1 << j, n)
             b[i][j] = b[j][i] = (values(pair) + diag[i] + diag[j]) % 2
     form = F2QuadraticForm(diag, F2BilinearForm(tuple(tuple(r) for r in b)))
     for w in range(1 << n):
-        x = tuple((w >> i) & 1 for i in range(n))
+        x = f2_unpack(w, n)
         if form.value(x) != values(x) % 2:
             raise AssertionError("callable is not a quadratic form")
     return form
@@ -156,34 +162,20 @@ def standard_epsilon(lat: Lattice) -> F2BilinearForm:
     entries below it, zeros above."""
     if not lat.is_even():
         raise ValueError("standard cocycle needs an even lattice")
-    n = lat.rank
     g = lat.gram
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(int(g[i][i] / 2) % 2)
-            elif i > j:
-                row.append(int(g[i][j]) % 2)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return F2BilinearForm(tuple(rows))
+    return F2BilinearForm(mod2_matrix(
+        [g[i][i] / 2 if i == j else g[i][j] if i > j else 0 for j in range(lat.rank)]
+        for i in range(lat.rank)
+    ))
 
 
 def b_g_form(eps: F2BilinearForm, g_matrix: Sequence[Sequence]) -> F2BilinearForm:
     """Polarization eps + eps^g of any lift of g; symmetric, zero diagonal."""
-    gbar = mod2_matrix(g_matrix)
-    out = eps + eps.conjugate(gbar)
-    b = out.matrix
-    n = len(b)
-    for i in range(n):
-        if b[i][i] != 0:
-            raise AssertionError("b_g diagonal must vanish for an isometry")
-        for j in range(n):
-            if b[i][j] != b[j][i]:
-                raise AssertionError("b_g must be symmetric for an isometry")
+    out = eps + eps.conjugate(mod2_matrix(g_matrix))
+    _require_alternating(
+        out.matrix, AssertionError, "b_g diagonal must vanish for an isometry",
+        "b_g must be symmetric for an isometry",
+    )
     return out
 
 
@@ -210,7 +202,7 @@ class Lift:
         return mod2_matrix(self.base)
 
     def eta_value(self, x: Bits) -> int:
-        return self.eta.value(tuple(int(e) % 2 for e in x))
+        return self.eta.value(x)
 
 
 def lift(
@@ -236,12 +228,12 @@ def lift_power_sign(lf: Lift, alpha: Sequence, n: int) -> int:
     sum of eta over the g-orbit prefix of alpha."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gbar = lf.base_mod2()
-    x = tuple(int(e) % 2 for e in alpha)
+    gbar = [f2_pack(r) for r in lf.base]
+    x = f2_pack(alpha)
     total = 0
     for _ in range(n):
-        total += lf.eta_value(x)
-        x = bit_apply(x, gbar)
+        total += lf.eta._packed_value(x)
+        x = f2_row_mul(x, gbar)
     return total % 2
 
 
@@ -249,18 +241,18 @@ def lift_power_sign_even_form(lf: Lift, alpha: Sequence, n: int) -> int:
     """Even-n closed form: eta(sum of the orbit) + <alpha, g^{n/2} alpha> mod 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    gbar = lf.base_mod2()
-    x = tuple(int(e) % 2 for e in alpha)
-    acc = tuple([0] * len(x))
+    gbar = [f2_pack(r) for r in lf.base]
+    x = f2_pack(alpha)
+    acc = 0
     for _ in range(n):
-        acc = tuple((a + b) % 2 for a, b in zip(acc, x))
-        x = bit_apply(x, gbar)
-    half = mat_pow(mat(lf.base), n // 2)
-    ga = tuple(int(e) for e in vec(alpha))
-    pair = lf.lattice.inner(vec(alpha), tuple(sum(ga[i] * half[i][j] for i in range(len(ga))) for j in range(len(ga))))
+        acc ^= x
+        x = f2_row_mul(x, gbar)
+    half = mat_pow(int_mat(lf.base), n // 2)
+    a = vec(alpha)
+    pair = lf.lattice.inner(a, row_mul(a, half))
     if pair.denominator != 1:
         raise AssertionError("integral lattice pairing expected")
-    return (lf.eta_value(acc) + int(pair)) % 2
+    return (lf.eta._packed_value(acc) + int(pair)) % 2
 
 
 def lift_order(lf: Lift, cap: int = 512) -> int:
@@ -268,9 +260,7 @@ def lift_order(lf: Lift, cap: int = 512) -> int:
     picks up the central sign on some basis vector."""
     iso = Isometry(lf.base, lf.lattice)
     m = iso.order(cap=cap)
-    n = lf.lattice.rank
-    for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
+    for e_i in int_identity(lf.lattice.rank):
         if lift_power_sign(lf, e_i, m):
             return 2 * m
     return m
@@ -302,32 +292,19 @@ def lift_inverse(lf: Lift) -> Lift:
 def lift_power(lf: Lift, n: int) -> Lift:
     if n < 0:
         return lift_power(lift_inverse(lf), -n)
-    out = lift(
-        tuple(
-            tuple(1 if i == j else 0 for j in range(lf.lattice.rank))
-            for i in range(lf.lattice.rank)
-        ),
-        lf.lattice,
-        lf.eps,
-    )
+    out = lift(int_identity(lf.lattice.rank), lf.lattice, lf.eps)
     for _ in range(n):
         out = compose(lf, out)
     return out
 
 
 def lifts_equal(a: Lift, b: Lift) -> bool:
-    return (
-        mat_eq(mat(a.base), mat(b.base))
-        and a.eta.diagonal == b.eta.diagonal
-        and a.eta.polarization.matrix == b.eta.polarization.matrix
-    )
+    return a.base == b.base and a.eta == b.eta
 
 
 def theta_lift(lat: Lattice, eps: F2BilinearForm) -> Lift:
     """The order-2 lift of -1 with vanishing eta."""
-    n = lat.rank
-    neg = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-    return lift(neg, lat, eps)
+    return lift(mat_scale(int_identity(lat.rank), -1), lat, eps)
 
 
 def mu_plus_mu_g_solve(g_matrix: Sequence[Sequence], lam: Sequence[int]) -> Bits:
@@ -337,16 +314,11 @@ def mu_plus_mu_g_solve(g_matrix: Sequence[Sequence], lam: Sequence[int]) -> Bits
     the system is invertible exactly when g is fixed point free of odd
     order on L/2L, and a singular system raises.
     """
-    gbar = mod2_matrix(g_matrix)
-    n = len(gbar)
-    lam_bits = tuple(int(e) % 2 for e in lam)
-    if len(lam_bits) != n:
-        raise ValueError(f"functional length {len(lam_bits)} != rank {n}")
-    a = tuple(
-        tuple((gbar[i][j] + (1 if i == j else 0)) % 2 for j in range(n))
-        for i in range(n)
-    )
-    return f2_solve_unique(a, lam_bits)
+    n = len(g_matrix)
+    if len(lam) != n:
+        raise ValueError(f"functional length {len(lam)} != rank {n}")
+    a = [f2_unpack(f2_pack(row) ^ 1 << i, n) for i, row in enumerate(g_matrix)]
+    return f2_solve_unique(a, lam)
 
 
 def functional_value(mu: Bits, x: Bits) -> int:
@@ -362,36 +334,33 @@ def commuting_lift(f_matrix: Sequence[Sequence], g_lift: Lift, m: int) -> Lift:
     """
     lat = g_lift.lattice
     n = lat.rank
-    f = mat(f_matrix)
-    f_inv = mat_inv(f)
-    lhs = mat_mul(mat_mul(f, g_lift.base), f_inv)
-    gm = mat_pow(mat(g_lift.base), m)
-    if not mat_eq(lhs, gm):
+    f = int_mat(f_matrix)
+    g = int_mat(g_lift.base)
+    gm = mat_pow(g, m)
+    if mat_mul(f, g) != mat_mul(gm, f):
         raise ValueError("relation f^{-1} g f = g^m fails on the lattice")
     xi = lift(f, lat, g_lift.eps)
-    zeta = lift_power(g_lift, m).eta
-    fbar = mod2_matrix(f)
-    hbar = mod2_matrix(gm)
+    g_lift_m = lift_power(g_lift, m)
+    fbar = [f2_pack(r) for r in f]
+    hbar = [f2_pack(r) for r in gm]
 
-    def lam_fn(x: Bits) -> int:
+    def lam_fn(x: int) -> int:
         return (
-            zeta.value(x)
-            + g_lift.eta_value(bit_apply(x, fbar))
-            + xi.eta_value(x)
-            + xi.eta_value(bit_apply(x, hbar))
+            g_lift_m.eta._packed_value(x)
+            + g_lift.eta._packed_value(f2_row_mul(x, fbar))
+            + xi.eta._packed_value(x)
+            + xi.eta._packed_value(f2_row_mul(x, hbar))
         ) % 2
 
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    lam = tuple(lam_fn(e) for e in basis)
+    lam = tuple(lam_fn(1 << i) for i in range(n))
     for i in range(n):
         for j in range(i + 1, n):
-            pair = tuple((basis[i][t] + basis[j][t]) % 2 for t in range(n))
-            if lam_fn(pair) != (lam[i] + lam[j]) % 2:
+            if lam_fn(1 << i | 1 << j) != (lam[i] + lam[j]) % 2:
                 raise AssertionError("mismatch functional is not linear")
     mu = mu_plus_mu_g_solve(gm, lam)
     corrected = tuple((d + b) % 2 for d, b in zip(xi.eta.diagonal, mu))
     phi = lift(f, lat, g_lift.eps, corrected)
     check = compose(lift_inverse(phi), compose(g_lift, phi))
-    if not lifts_equal(check, lift_power(g_lift, m)):
+    if not lifts_equal(check, g_lift_m):
         raise AssertionError("constructed lift fails the conjugation relation")
     return phi

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from . import codes as codes_mod
@@ -45,7 +46,7 @@ Q = Fraction
 
 
 class UsageError(Exception):
-    """Bad input from the user: malformed JSON, bad label, wrong level."""
+    """Bad input from the user: malformed JSON, a bad label or entry."""
 
 
 def _encode(obj):
@@ -170,6 +171,15 @@ def load_code(path: str):
         return codes_mod.load_code(payload)
     except (ValueError, AssertionError) as exc:
         raise UsageError(f"{path}: {exc}") from None
+
+
+class _MinimumLevel(argparse.Action):
+    """Stores -k; a level below ``const`` is a usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, k, option_string=None):
+        if k < self.const:
+            parser.error(f"level {k}: need k >= {self.const}")
+        setattr(namespace, self.dest, k)
 
 
 def _fusion_sort_key(label):
@@ -320,18 +330,11 @@ def cmd_rssd(args):
 
 def cmd_quotient(args):
     k = args.level
-    if k < 3:
-        raise UsageError(f"level {k}: need k >= 3")
     lat = sqrt2_a(k - 1)
     s = mat_sub(int_identity(k - 1), coxeter_nu(k))
     invs = quotient_invariants(lat, s)
     dual_invs = dual_quotient_invariants(lat, s)
-    order = 1
-    for d in invs:
-        order *= d
-    dual_order = 1
-    for d in dual_invs:
-        dual_order *= d
+    order, dual_order = prod(invs), prod(dual_invs)
     ok = order == k and dual_order == k
     payload = {
         "k": k,
@@ -350,8 +353,6 @@ def cmd_quotient(args):
 
 def cmd_lift_order(args):
     k = args.level
-    if k < 3:
-        raise UsageError(f"level {k}: need k >= 3")
     lat = sqrt2_a(k - 1)
     eps = standard_epsilon(lat)
     nu_hat = lift(coxeter_nu(k), lat, eps)
@@ -472,36 +473,40 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    level = argparse.ArgumentParser(add_help=False)
-    level.add_argument("-k", "--level", type=int, required=True, help="level k")
+    level = {m: argparse.ArgumentParser(add_help=False) for m in (2, 3)}
+    for m, p in level.items():
+        p.add_argument(
+            "-k", "--level", type=int, action=_MinimumLevel, const=m, required=True,
+            help="level k",
+        )
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("fuse", parents=[common, level], help="fuse two labels")
+    p = sub.add_parser("fuse", parents=[common, level[2]], help="fuse two labels")
     p.add_argument("labels", nargs=2, metavar="i,j")
     p.set_defaults(handler=cmd_fuse)
 
     p = sub.add_parser(
-        "weights", parents=[common, level], help="conformal weights"
+        "weights", parents=[common, level[2]], help="conformal weights"
     )
     p.add_argument("labels", nargs="*", metavar="i,j")
     p.set_defaults(handler=cmd_weights)
 
     p = sub.add_parser(
-        "zk-check", parents=[common, level], help="verify the cyclic grading"
+        "zk-check", parents=[common, level[2]], help="verify the cyclic grading"
     )
     p.set_defaults(handler=cmd_zk_check)
 
     p = sub.add_parser(
         "orbifold-table",
-        parents=[common, level],
+        parents=[common, level[3]],
         help="derive and print the orbifold fusion table",
     )
     p.set_defaults(handler=cmd_orbifold_table)
 
     p = sub.add_parser(
         "sigma-check",
-        parents=[common, level],
+        parents=[common, level[3]],
         help="verify sign grading and collapse consistency",
     )
     p.set_defaults(handler=cmd_sigma_check)
@@ -520,14 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "quotient",
-        parents=[common, level],
+        parents=[common, level[3]],
         help="quotient invariants for the Coxeter isometry",
     )
     p.set_defaults(handler=cmd_quotient)
 
     p = sub.add_parser(
         "lift-order",
-        parents=[common, level],
+        parents=[common, level[3]],
         help="orders of standard lifts on the rescaled root lattice",
     )
     p.set_defaults(handler=cmd_lift_order)

@@ -14,6 +14,7 @@ every basis matrix is integral.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,6 +38,11 @@ from .lattices import (
 from .linalg import (
     coset_minimum,
     enumerate_quadratic,
+    f2_echelon,
+    f2_pack,
+    f2_row_mul,
+    f2_span,
+    f2_unpack,
     hnf,
     identity,
     mat,
@@ -44,6 +50,7 @@ from .linalg import (
     mat_inv,
     mat_mul,
     mat_pow,
+    mat_scale,
     mat_sub,
     row_mul,
     vec,
@@ -92,27 +99,23 @@ def _cartan(p: int):
     return root_lattice("A", p - 1).gram
 
 
-def k_inner(u: Sequence[int], v: Sequence[int], p: int) -> int:
-    """Mod-2 pairing u A v^T of two blocks, A the A_{p-1} Cartan matrix."""
+def _cartan_pairing(u: Sequence[int], v: Sequence[int], p: int) -> int:
+    """The integer u A v^T of two blocks, A the A_{p-1} Cartan matrix."""
     n = p - 1
     if len(u) != n or len(v) != n:
         raise ValueError(f"blocks must have length {n}")
     a = _cartan(p)
-    total = sum(
-        int(u[i]) * int(a[i][j]) * int(v[j]) for i in range(n) for j in range(n)
-    )
-    return total % 2
+    return sum(int(u[i]) * int(a[i][j]) * int(v[j]) for i in range(n) for j in range(n))
+
+
+def k_inner(u: Sequence[int], v: Sequence[int], p: int) -> int:
+    """Mod-2 pairing u A v^T of two blocks."""
+    return _cartan_pairing(u, v, p) % 2
 
 
 def k_quadratic(u: Sequence[int], p: int) -> int:
     """Mod-2 value (1/2) u A u^T of a block; polarizes to k_inner."""
-    n = p - 1
-    if len(u) != n:
-        raise ValueError(f"block must have length {n}")
-    a = _cartan(p)
-    total = sum(
-        int(u[i]) * int(a[i][j]) * int(u[j]) for i in range(n) for j in range(n)
-    )
+    total = _cartan_pairing(u, u, p)
     if total % 2:
         raise AssertionError("uAu^T should be even")
     return (total // 2) % 2
@@ -124,15 +127,31 @@ def nu_block_bits(p: int) -> tuple[Bits, ...]:
     return tuple(tuple(e % 2 for e in row) for row in coxeter_nu(p))
 
 
-def apply_nu_word(code: Code, word: Bits) -> Bits:
-    m = nu_block_bits(code.p)
+@lru_cache(maxsize=None)
+def _nu_power_rows(p: int) -> tuple[tuple[int, ...], ...]:
+    """Packed block rows of nu^a mod 2, for a = 0, ..., p - 1."""
+    nu = [f2_pack(r) for r in nu_block_bits(p)]
+    powers = [tuple(1 << i for i in range(p - 1))]
+    for _ in range(p - 1):
+        powers.append(tuple(f2_row_mul(r, nu) for r in powers[-1]))
+    return tuple(powers)
+
+
+def _act(code: Code, perm: Sequence[int], nu_power: int, word: int) -> int:
+    """nu^a on every block of a packed word, then block l taken from
+    block perm[l]: one packed product per block."""
     n = code.block_len
-    out = []
-    for b in code.blocks(word):
-        out.extend(
-            sum(b[i] * m[i][j] for i in range(n)) % 2 for j in range(n)
-        )
-    return tuple(out)
+    rows = _nu_power_rows(code.p)[nu_power]
+    mask = (1 << n) - 1
+    out = 0
+    for l, src in enumerate(perm):
+        out |= f2_row_mul(word >> (src * n) & mask, rows) << (l * n)
+    return out
+
+
+def apply_nu_word(code: Code, word: Bits) -> Bits:
+    size = code.block_len * code.d
+    return f2_unpack(_act(code, range(code.d), 1, f2_pack(word)), size)
 
 
 def word_inner(code: Code, c1: Bits, c2: Bits) -> int:
@@ -145,42 +164,16 @@ def word_q(code: Code, word: Bits) -> int:
     return sum(k_quadratic(b, code.p) for b in code.blocks(word)) % 2
 
 
-def _f2_basis(rows: Sequence[Bits]) -> list[Bits]:
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for row in rows:
-        r = list(row)
-        for b, pv in zip(basis, pivots):
-            if r[pv]:
-                r = [(x + y) % 2 for x, y in zip(r, b)]
-        p = next((i for i, x in enumerate(r) if x), None)
-        if p is not None:
-            basis.append(r)
-            pivots.append(p)
-    return [tuple(b) for b in basis]
-
-
-def _f2_span(basis: Sequence[Bits], n: int) -> list[Bits]:
-    """All 2^len(basis) F2 combinations of the length-n basis rows."""
-    words = []
-    for mask in range(1 << len(basis)):
-        w = [0] * n
-        for i, row in enumerate(basis):
-            if (mask >> i) & 1:
-                w = [(a + b) % 2 for a, b in zip(w, row)]
-        words.append(tuple(w))
-    return words
-
-
 @lru_cache(maxsize=None)
 def span(code: Code) -> tuple[Bits, ...]:
     """All codewords, enumerated from an F2 basis of the generators."""
-    basis = _f2_basis(code.generators)
-    return tuple(sorted(_f2_span(basis, (code.p - 1) * code.d)))
+    basis = f2_echelon(map(f2_pack, code.generators))
+    n = code.block_len * code.d
+    return tuple(sorted(f2_unpack(w, n) for w in f2_span(basis)))
 
 
 def code_dim(code: Code) -> int:
-    return len(_f2_basis(code.generators))
+    return len(f2_echelon(map(f2_pack, code.generators)))
 
 
 @lru_cache(maxsize=None)
@@ -234,9 +227,7 @@ def code_properties(code: Code) -> CodeReport:
     )
     isotropic = all(word_q(code, w) == 0 for w in words)
     nu_inv = all(apply_nu_word(code, g) in word_set for g in code.generators)
-    dist: dict[int, int] = {}
-    for w in words:
-        dist[codeword_weight(code, w)] = dist.get(codeword_weight(code, w), 0) + 1
+    dist = Counter(codeword_weight(code, w) for w in words)
     half_dim = (code.p - 1) * code.d // 2
     return CodeReport(
         size=len(words),
@@ -259,32 +250,26 @@ _TYPE_KEYS = {
 }
 
 
+def _block_diagonal(block: Sequence[Sequence], d: int) -> tuple:
+    """d copies of the square matrix ``block`` down the diagonal."""
+    n = len(block)
+    return tuple(
+        (0,) * (l * n) + tuple(row) + (0,) * ((d - 1 - l) * n)
+        for l in range(d)
+        for row in block
+    )
+
+
 @lru_cache(maxsize=None)
 def ambient_lattice(code: Code) -> Lattice:
     """((1/2)N)^d: block Gram is half the A_{p-1} Cartan matrix."""
-    n = code.p - 1
-    a = _cartan(code.p)
-    size = n * code.d
-    g = [[Q(0)] * size for _ in range(size)]
-    for l in range(code.d):
-        for i in range(n):
-            for j in range(n):
-                g[l * n + i][l * n + j] = a[i][j] / 2
-    return Lattice(g)
+    return Lattice(_block_diagonal(mat_scale(_cartan(code.p), Q(1, 2)), code.d))
 
 
 @lru_cache(maxsize=None)
 def nu_ambient_matrix(code: Code):
     """Blockwise block-cycling isometry on the ambient coordinates."""
-    n = code.p - 1
-    m = coxeter_nu(code.p)
-    size = n * code.d
-    rows = [[0] * size for _ in range(size)]
-    for l in range(code.d):
-        for i in range(n):
-            for j in range(n):
-                rows[l * n + i][l * n + j] = m[i][j]
-    return tuple(tuple(r) for r in rows)
+    return _block_diagonal(coxeter_nu(code.p), code.d)
 
 
 def classify_word(code: Code, word: Bits) -> str:
@@ -318,9 +303,15 @@ def classify_weight4(code: Code) -> ClassificationReport:
     for w in span(code):
         if any(w) and codeword_weight(code, w) == 4:
             buckets[classify_word(code, w)].append(w)
+    return _classification(buckets)
+
+
+def _classification(buckets: dict[str, list[Bits]]) -> ClassificationReport:
+    """Counts and sorted words per type, types in sorted order."""
+    items = sorted(buckets.items())
     return ClassificationReport(
-        counts=tuple((t, len(v)) for t, v in sorted(buckets.items())),
-        by_type=tuple((t, tuple(v)) for t, v in sorted(buckets.items())),
+        counts=tuple((t, len(v)) for t, v in items),
+        by_type=tuple((t, tuple(sorted(v))) for t, v in items),
     )
 
 
@@ -345,23 +336,12 @@ def orbit_classification(code: Code) -> ClassificationReport:
     words = [
         w for w in span(code) if any(w) and codeword_weight(code, w) == 4
     ]
-    word_set = set(words)
-    n = code.block_len
-
-    def act(perm: tuple[int, ...], nu_power: int, w: Bits) -> Bits:
-        x = w
-        for _ in range(nu_power):
-            x = apply_nu_word(code, x)
-        bl = code.blocks(x)
-        out: list[int] = []
-        for l in range(code.d):
-            out.extend(bl[perm[l]])
-        return tuple(out)
-
+    packed = [f2_pack(w) for w in words]
+    word_set = set(packed)
     group = [(perm, a) for perm in _alt4() for a in range(code.p)]
-    seen: set[Bits] = set()
+    seen: set[int] = set()
     orbits: list[list[Bits]] = []
-    for w in words:
+    for w in packed:
         if w in seen:
             continue
         orbit = set()
@@ -372,23 +352,20 @@ def orbit_classification(code: Code) -> ClassificationReport:
                 continue
             orbit.add(x)
             for perm, a in group:
-                y = act(perm, a, x)
+                y = _act(code, perm, a, x)
                 if y not in word_set:
                     raise AssertionError("group action leaves the code")
                 if y not in orbit:
                     frontier.append(y)
         seen |= orbit
-        orbits.append(sorted(orbit))
+        orbits.append(sorted(f2_unpack(x, code.block_len * code.d) for x in orbit))
     buckets: dict[str, list[Bits]] = {"I": [], "II": [], "III": [], "IV": []}
     for orbit in orbits:
         types = {classify_word(code, w) for w in orbit}
         if len(types) != 1:
             raise AssertionError("orbit spans multiple types")
         buckets[types.pop()].extend(orbit)
-    return ClassificationReport(
-        counts=tuple((t, len(v)) for t, v in sorted(buckets.items())),
-        by_type=tuple((t, tuple(sorted(v))) for t, v in sorted(buckets.items())),
-    )
+    return _classification(buckets)
 
 
 @dataclass(frozen=True)
@@ -495,8 +472,7 @@ def glue_form_report(built: BuiltLattice) -> GlueFormReport:
     vectors: dual membership, the mod-p pairing matrix, and q-values."""
     p = built.code.p
     lat = built.lattice
-    b = mat(built.basis)
-    b_inv = mat_inv(b)
+    b_inv = _basis_inverse(built)
     lam_rows = [row_mul(vec(r), b_inv) for r in glue_vector_rows(built.code)]
     for lam in lam_rows:
         pairings = row_mul(lam, lat.gram)
@@ -613,10 +589,8 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
         f_rows.append(tuple(gamma))
         f_rows.append(tuple(delta))
     m_rows = hnf(tuple(f_rows) + _half_vector_rows())
-    nu2 = mat_pow(mat(nu_ambient_matrix(code)), 2)
-    mprime_rows = hnf(
-        [tuple(int(e) for e in row_mul(vec(r), nu2)) for r in m_rows]
-    )
+    nu2 = mat_pow(nu_ambient_matrix(code), 2)
+    mprime_rows = hnf([row_mul(r, nu2) for r in m_rows])
 
     for name, rows in (("M", m_rows), ("M'", mprime_rows)):
         lat = sublattice(built.ambient, rows)
@@ -645,17 +619,13 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
             xs.append(a % 2)
             ys.append(c % 2)
         hamming.append(tuple(xs + ys))
-    ham_basis = _f2_basis(hamming)
+    ham_basis = f2_echelon(map(f2_pack, hamming))
     if len(ham_basis) != 4:
         failures.append(f"glue code dimension {len(ham_basis)} != 4")
-    enum: dict[int, int] = {}
-    for w in _f2_span(ham_basis, 8):
-        enum[sum(w)] = enum.get(sum(w), 0) + 1
+    enum = Counter(w.bit_count() for w in f2_span(ham_basis))
     if enum != {0: 1, 4: 14, 8: 1}:
         failures.append(f"glue code weight enumerator {sorted(enum.items())}")
-    if any(
-        sum(a * b for a, b in zip(u, v)) % 2 for u in ham_basis for v in ham_basis
-    ):
+    if any((u & v).bit_count() & 1 for u in ham_basis for v in ham_basis):
         failures.append("glue code not self-orthogonal")
 
     if not same_lattice(
@@ -683,7 +653,7 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
         passed=not failures,
         m_rows=tuple(m_rows),
         mprime_rows=tuple(mprime_rows),
-        hamming_rows=tuple(ham_basis),
+        hamming_rows=tuple(f2_unpack(r, 8) for r in ham_basis),
         weight_enumerator=tuple(sorted(enum.items())),
         failures=tuple(failures),
     )

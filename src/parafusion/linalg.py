@@ -6,9 +6,12 @@ routines: Hermite and Smith normal forms, saturated kernels).  No
 floating point anywhere.
 
 Each ring has one elimination routine: ``_gauss_jordan`` over Q behind
-``mat_inv``, ``det``, ``solve_left`` and ``rank``, and
-``_hermite_with_transform`` over Z behind ``hnf`` and ``snf``.
-``clear_denominators`` takes rational rows to integer rows.
+``mat_inv``, ``det``, ``solve_left`` and ``rank``,
+``_hermite_with_transform`` over Z behind ``hnf`` and ``snf``, and
+``f2_echelon`` over F2.  ``clear_denominators`` takes rational rows to
+integer rows.  F2 rows are packed into ``int``s (bit i is coordinate
+i): ``f2_pack``/``f2_unpack`` convert, ``f2_row_mul`` multiplies a row
+by a matrix with XOR, and ``f2_span`` lists a span in mask order.
 
 ``enumerate_quadratic`` (behind ``shell_vectors`` and ``coset_minimum``)
 takes the exact LDL^T decomposition over Q, scales its levels, the
@@ -111,9 +114,11 @@ def mat_eq(a, b) -> bool:
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
+    """m^e; a matrix of ``int``s stays ``int`` for e >= 0."""
     if e < 0:
         return mat_pow(mat_inv(m), -e)
-    result = identity(len(m))
+    integral = all(type(x) is int for row in m for x in row)
+    result = int_identity(len(m)) if integral else identity(len(m))
     base = m
     while e:
         if e & 1:
@@ -377,6 +382,55 @@ def integer_row_kernel(m: Sequence[Sequence[int]]) -> IntMat:
     ncols = len(m[0]) if nrows else 0
     r = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
     return tuple(u[i] for i in range(r, nrows))
+
+
+# ---------------------------------------------------------------------------
+# F2 on packed bit rows (bit i of an int is coordinate i)
+
+
+def f2_pack(bits: Iterable) -> int:
+    """Pack an integer row, reduced mod 2, into one int."""
+    return sum((int(b) & 1) << i for i, b in enumerate(bits))
+
+
+def f2_unpack(x: int, n: int) -> tuple[int, ...]:
+    return tuple((x >> i) & 1 for i in range(n))
+
+
+def f2_row_mul(x: int, rows: Sequence[int]) -> int:
+    """Row x times the matrix with the given packed rows: the XOR of the
+    rows at the set bits of x."""
+    out = 0
+    for i, r in enumerate(rows):
+        if x >> i & 1:
+            out ^= r
+    return out
+
+
+def f2_echelon(rows: Iterable[int]) -> list[int]:
+    """Forward echelon over F2, in input order.
+
+    Each row is reduced by the rows kept before it, at their pivots (a
+    kept row's pivot is its lowest set bit), and kept when nonzero.  The
+    kept rows are independent, have distinct pivots and span the input.
+    """
+    basis: list[int] = []
+    for r in rows:
+        for b in basis:
+            if r & b & -b:
+                r ^= b
+        if r:
+            basis.append(r)
+    return basis
+
+
+def f2_span(basis: Sequence[int]) -> list[int]:
+    """All 2^len(basis) sums of the rows in mask order: entry m is the
+    XOR of basis[i] over the set bits i of m."""
+    words = [0]
+    for b in basis:
+        words += [w ^ b for w in words]
+    return words
 
 
 # ---------------------------------------------------------------------------

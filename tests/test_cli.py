@@ -359,3 +359,24 @@ def test_lc_verify_malformed_code_fields_exit_two(capsys, tmp_path, payload, whe
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}{where}:")
+
+
+@pytest.mark.parametrize(
+    "argv, minimum",
+    [
+        (["zk-check", "-k", "0"], 2),
+        (["weights", "-k", "-2"], 2),
+        (["zk-check", "-k", "1"], 2),
+        (["weights", "-k", "1"], 2),
+        (["fuse", "-k", "1", "0,0", "0,0"], 2),
+        (["orbifold-table", "-k", "2"], 3),
+        (["sigma-check", "-k", "2"], 3),
+        (["quotient", "-k", "2"], 3),
+        (["lift-order", "-k", "2"], 3),
+    ],
+)
+def test_level_below_minimum_exit_two(capsys, argv, minimum):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"level {argv[2]}: need k >= {minimum}" in err

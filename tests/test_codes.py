@@ -175,6 +175,7 @@ def test_nu_in_lattice_inverts_the_basis_once(monkeypatch):
     monkeypatch.setattr(codes_mod, "mat_inv", counting_inv)
     assert one_minus_nu_dual_equals_lattice(built)
     assert build_ee8_pair(built).passed
+    assert glue_form_report(built).passed
     assert inverted.count(True) == 1
     assert nu_in_lattice(built) is nu_in_lattice(built)
 
