@@ -37,7 +37,6 @@ from .lattices import (
 from .linalg import int_identity, mat_sub
 from .orbifold import (
     derive_full_table,
-    orbifold_basis,
     verify_collapse,
     verify_sigma_grading,
 )
@@ -218,19 +217,19 @@ def cmd_zk_check(args):
     report = verify_zk_grading(args.level)
     status = "pass" if report.passed else "FAIL"
     lines = [f"grading check k={args.level}: {status}"]
-    lines += [f"  violation: {v}" for v in report.violations]
+    lines += [f"  violation: {v}" for v in report.failures]
     payload = {
         "k": args.level,
         "passed": report.passed,
-        "violations": [list(map(repr, v)) for v in report.violations],
+        "violations": [list(map(repr, v)) for v in report.failures],
     }
     return report.passed, payload, lines
 
 
 def cmd_orbifold_table(args):
     k = args.level
-    table = derive_full_table(k, validate=True)
-    basis = orbifold_basis(k)
+    table = derive_full_table(k)
+    basis = table.basis
     lines, cells = [], []
     for s, x in enumerate(basis):
         for y in basis[s:]:
@@ -257,9 +256,9 @@ def cmd_orbifold_table(args):
 
 def cmd_sigma_check(args):
     k = args.level
-    table = derive_full_table(k, validate=True)
+    table = derive_full_table(k)
     sigma = verify_sigma_grading(table)
-    collapse = verify_collapse(k, table)
+    collapse = verify_collapse(table)
     ok = sigma.passed and collapse.passed
     lines = [
         f"sign grading k={k}: {'pass' if sigma.passed else 'FAIL'}",

@@ -37,6 +37,7 @@ from .lattices import (
 )
 from .linalg import (
     coset_minimum,
+    dot,
     enumerate_quadratic,
     f2_echelon,
     f2_pack,
@@ -45,6 +46,7 @@ from .linalg import (
     f2_unpack,
     hnf,
     identity,
+    int_mat,
     mat,
     mat_eq,
     mat_inv,
@@ -267,6 +269,12 @@ def ambient_lattice(code: Code) -> Lattice:
 
 
 @lru_cache(maxsize=None)
+def _ambient_gram2(code: Code):
+    """Twice the ambient Gram, over int: the A_{p-1} Cartan matrix per block."""
+    return _block_diagonal(int_mat(_cartan(code.p)), code.d)
+
+
+@lru_cache(maxsize=None)
 def nu_ambient_matrix(code: Code):
     """Blockwise block-cycling isometry on the ambient coordinates."""
     return _block_diagonal(coxeter_nu(code.p), code.d)
@@ -281,11 +289,8 @@ def classify_word(code: Code, word: Bits) -> str:
     blocks_w = tuple(
         sorted(int(_block_coset_data(code.p, b)[0]) for b in code.blocks(word))
     )
-    amb = ambient_lattice(code)
-    nu = nu_ambient_matrix(code)
-    v = vec(word)
-    pairing = amb.inner(v, row_mul(v, nu))
-    key = (blocks_w, pairing)
+    nu_word = row_mul(word, nu_ambient_matrix(code))
+    key = (blocks_w, Q(dot(row_mul(word, _ambient_gram2(code)), nu_word), 2))
     if key not in _TYPE_KEYS:
         raise ValueError(f"unclassifiable weight-4 word {word}: invariant {key}")
     return _TYPE_KEYS[key]

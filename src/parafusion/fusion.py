@@ -144,12 +144,17 @@ def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
     return FusionVector.from_pairs(pairs)
 
 
-def fuse_vectors(va: FusionVector, vb: FusionVector) -> FusionVector:
-    """Bilinear extension of fuse to multiplicity vectors."""
+def fuse_vectors(
+    va: FusionVector,
+    vb: FusionVector,
+    product: Callable[[object, object], FusionVector] = fuse,
+) -> FusionVector:
+    """Bilinear extension of ``product`` on basis labels (by default
+    ``fuse``) to multiplicity vectors."""
     pairs = []
     for x, mx in va:
         for y, my in vb:
-            for z, mz in fuse(x, y):
+            for z, mz in product(x, y):
                 pairs.append((z, mx * my * mz))
     return FusionVector.from_pairs(pairs)
 
@@ -195,55 +200,59 @@ def conformal_weight(label: IrrLabel) -> Fraction:
 
 
 def is_sigma_type(label: IrrLabel) -> bool:
-    """True iff the label is (2j, j) for some 0 <= j <= floor(k/2)."""
-    k = label.k
-    return any(
-        label == canonical_label(2 * j, j, k) for j in range(k // 2 + 1)
-    )
+    """True iff the label is (2j, j) for some 0 <= j <= floor(k/2).
+
+    Canonical (2j, j) is (2j, j) itself for j >= 1 and (k, 0) for j = 0.
+    """
+    return label.i == 2 * label.j or (label.i, label.j) == (label.k, 0)
 
 
 def sigma_type_index(label: IrrLabel) -> int:
     """The j with label = canonical (2j, j); raises if not sigma-type."""
-    for j in range(label.k // 2 + 1):
-        if label == canonical_label(2 * j, j, label.k):
-            return j
-    raise ValueError(f"{label} is not sigma-type")
+    if not is_sigma_type(label):
+        raise ValueError(f"{label} is not sigma-type")
+    return label.j
 
 
 @dataclass(frozen=True)
-class GradingReport:
-    k: int
-    passed: bool
-    violations: tuple[tuple, ...]
+class Report:
+    """Verdict of a ring verifier: the failures it found, as tuples that
+    name the check and the labels or cells involved."""
+
+    failures: tuple[tuple, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def verify_zk_grading(
     k: int, fuse_fn: Callable[[IrrLabel, IrrLabel], FusionVector] = fuse
-) -> GradingReport:
+) -> Report:
     """Check the additive mod-k grading l_out = l1 + l2 of the fusion product.
 
     Also confirms the label identification (i, l) ~ (k-i, k+l) preserves
     l mod k, so the grading is well defined on canonical classes.
     ``fuse_fn`` is injectable so that mutation tests can break it.
     """
-    violations = []
+    failures = []
     labels = all_labels(k)
+    grade = {x: to_tilde(x).l for x in labels}
     for x in labels:
         # Both presentations of x must carry the same grade mod k.
-        l_canon = to_tilde(x).l
         alt = (k - x.i, (x.j - x.i) % k)
         l_alt = (alt[0] - 2 * alt[1]) % (2 * k)
-        if (l_canon - l_alt) % k != 0:
-            violations.append((x, "presentation", l_canon, l_alt))
+        if (grade[x] - l_alt) % k != 0:
+            failures.append((x, "presentation", grade[x], l_alt))
     for a in labels:
-        la = to_tilde(a).l
+        la = grade[a]
         for b in labels:
-            lb = to_tilde(b).l
+            lb = grade[b]
             for c, _ in fuse_fn(a, b):
-                lc = to_tilde(c).l
+                lc = grade[c]
                 if (lc - la - lb) % k != 0:
-                    violations.append((a, b, c, lc % k, (la + lb) % k))
-    return GradingReport(k=k, passed=not violations, violations=tuple(violations))
+                    failures.append((a, b, c, lc % k, (la + lb) % k))
+    return Report(tuple(failures))
 
 
 def minimal_model_weight(m: int, r: int, s: int) -> Fraction:

@@ -363,11 +363,6 @@ def coset_min_norm(lat: Lattice, shift: Sequence) -> Fraction:
     return coset_minimum(lat.gram, vec(shift))[0]
 
 
-def coset_minimizers(lat: Lattice, shift: Sequence) -> tuple[Fraction, list]:
-    """Minimal coset norm together with all lattice offsets attaining it."""
-    return coset_minimum(lat.gram, vec(shift))
-
-
 def coxeter_nu(k: int) -> linalg.IntMat:
     """Order-k fixed-point-free isometry of (sqrt2)A_{k-1} cycling the roots."""
     if k < 2:
@@ -388,6 +383,8 @@ def sqrt2_a(n: int) -> Lattice:
 def tau_isometry(k: int, s: int) -> linalg.IntMat:
     """Isometry of (sqrt2)A_{k-1} induced by t -> s*t mod k on the cycled
     root indices; it normalizes the cycle with tau^{-1} nu tau = nu^{s^{-1}}."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     if math.gcd(s, k) != 1:
         raise ValueError(f"s={s} must be invertible mod {k}")
     n = k - 1
@@ -404,8 +401,9 @@ def tau_isometry(k: int, s: int) -> linalg.IntMat:
         return tuple(row)
 
     rows = [alpha_diff((s * i) % k, (s * (i + 1)) % k) for i in range(n)]
-    lat = sqrt2_a(n)
-    Isometry(mat(rows), lat)  # validates gram preservation
+    gram = mat_scale(_cartan_a(n), 2)  # (sqrt2)A_{k-1}, over int
+    if not mat_eq(mat_mul(mat_mul(rows, gram), transpose(rows)), gram):
+        raise ValueError("matrix does not preserve the gram form")
     return tuple(rows)
 
 

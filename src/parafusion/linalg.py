@@ -66,10 +66,6 @@ def int_identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-
 def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*m)) if m else ()
 
@@ -77,10 +73,6 @@ def transpose(m: Sequence[Sequence]) -> tuple:
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def mat_add(a, b) -> tuple:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def mat_sub(a, b) -> tuple:

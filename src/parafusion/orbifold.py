@@ -11,15 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .fusion import (
     FusionVector,
+    Report,
     canonical_label,
     fuse,
+    fuse_vectors,
     is_sigma_type,
     sigma_type_index,
 )
-from .linalg import int_identity, mat_mul, mat_sub
+from .linalg import int_identity, mat_mul, mat_sub, transpose
 
 Q = Fraction
 
@@ -111,17 +115,22 @@ class OrbifoldTable:
     def product(self, x: OrbLabel, y: OrbLabel) -> FusionVector:
         return self._products[(x, y)]
 
-    def product_vector(self, v: FusionVector, w: FusionVector) -> FusionVector:
-        pairs = []
-        for x, mx in v:
-            for y, my in w:
-                for z, mz in self.product(x, y):
-                    pairs.append((z, mx * my * mz))
-        return FusionVector.from_pairs(pairs)
+
+def _operator(
+    basis: list[OrbLabel], row: Callable[[OrbLabel], FusionVector]
+) -> tuple:
+    """Matrix of y -> row(y) on the basis; column y holds its coordinates."""
+    idx = {lab: t for t, lab in enumerate(basis)}
+    m = [[0] * len(basis) for _ in basis]
+    for y in basis:
+        for z, mult in row(y):
+            m[idx[z]][idx[y]] = mult
+    return tuple(tuple(r) for r in m)
 
 
-def derive_full_table(k: int, validate: bool = True) -> OrbifoldTable:
-    """Derive the table from the generator rows by operator recursion.
+def derive_full_table(k: int) -> OrbifoldTable:
+    """Derive the table from the generator rows by operator recursion,
+    then run ``verify_table`` on it.
 
     Multiplication operators act on the basis; columns hold the product
     coordinates.  The (1,0) row at 1 <= j <= top-1 is solved for the
@@ -129,18 +138,9 @@ def derive_full_table(k: int, validate: bool = True) -> OrbifoldTable:
     """
     basis = orbifold_basis(k)
     n = len(basis)
-    idx = {lab: t for t, lab in enumerate(basis)}
     top = k // 2
-
-    def gen_matrix(gen: OrbLabel):
-        m = [[0] * n for _ in range(n)]
-        for y in basis:
-            for out, mult in generator_fuse(gen, y):
-                m[idx[out]][idx[y]] += mult
-        return tuple(tuple(row) for row in m)
-
-    a1 = gen_matrix(OrbLabel(0, 1, k))
-    a2 = gen_matrix(OrbLabel(1, 0, k))
+    a1 = _operator(basis, partial(generator_fuse, OrbLabel(0, 1, k)))
+    a2 = _operator(basis, partial(generator_fuse, OrbLabel(1, 0, k)))
     ops = {
         OrbLabel(0, 0, k): int_identity(n),
         OrbLabel(0, 1, k): a1,
@@ -157,47 +157,25 @@ def derive_full_table(k: int, validate: bool = True) -> OrbifoldTable:
 
     products = {}
     for x in basis:
-        mx = ops[x]
-        for y in basis:
-            c = idx[y]
-            products[(x, y)] = FusionVector.from_pairs(
-                [(z, mx[idx[z]][c]) for z in basis if mx[idx[z]][c]]
-            )
+        for y, column in zip(basis, transpose(ops[x])):
+            products[(x, y)] = FusionVector.from_pairs(zip(basis, column))
     table = OrbifoldTable(k, products)
-    if validate:
-        report = verify_table(table)
-        if not report.passed:
-            raise AssertionError(
-                f"derived table at level {k} fails self-checks: {report.failures}"
-            )
+    report = verify_table(table)
+    if not report.passed:
+        raise AssertionError(
+            f"derived table at level {k} fails self-checks: {report.failures}"
+        )
     return table
 
 
-@dataclass(frozen=True)
-class TableReport:
-    k: int
-    passed: bool
-    failures: tuple[tuple, ...]
-
-
-def verify_table(table: OrbifoldTable) -> TableReport:
+def verify_table(table: OrbifoldTable) -> Report:
     """Run every internal self-check on a derived table."""
     k = table.k
     basis = table.basis
     failures = []
 
-    n = len(basis)
-    idx = {lab: t for t, lab in enumerate(basis)}
-
-    def op_of(x):
-        m = [[0] * n for _ in range(n)]
-        for y in basis:
-            for z, mult in table.product(x, y):
-                m[idx[z]][idx[y]] = mult
-        return tuple(tuple(row) for row in m)
-
-    a1 = op_of(OrbLabel(0, 1, k))
-    a2 = op_of(OrbLabel(1, 0, k))
+    a1 = _operator(basis, partial(table.product, OrbLabel(0, 1, k)))
+    a2 = _operator(basis, partial(table.product, OrbLabel(1, 0, k)))
     if mat_mul(a1, a2) != mat_mul(a2, a1):
         failures.append(("generator_commutation",))
 
@@ -224,15 +202,15 @@ def verify_table(table: OrbifoldTable) -> TableReport:
         for y in basis:
             xy = table.product(x, y)
             for z in basis:
-                left = table.product_vector(xy, single[z])
-                right = table.product_vector(single[x], table.product(y, z))
+                left = fuse_vectors(xy, single[z], table.product)
+                right = fuse_vectors(single[x], table.product(y, z), table.product)
                 if left != right:
                     failures.append(("associativity", x, y, z))
 
-    return TableReport(k=k, passed=not failures, failures=tuple(failures))
+    return Report(tuple(failures))
 
 
-def verify_sigma_grading(table: OrbifoldTable) -> TableReport:
+def verify_sigma_grading(table: OrbifoldTable) -> Report:
     """Check the sign character multiplies along every nonzero product."""
     failures = []
     for x in table.basis:
@@ -240,7 +218,7 @@ def verify_sigma_grading(table: OrbifoldTable) -> TableReport:
             for z, m in table.product(x, y):
                 if m and sign_character(x) * sign_character(y) != sign_character(z):
                     failures.append(("sign_grading", x, y, z))
-    return TableReport(k=table.k, passed=not failures, failures=tuple(failures))
+    return Report(tuple(failures))
 
 
 def sigma_label(j: int, k: int):
@@ -250,22 +228,14 @@ def sigma_label(j: int, k: int):
     return canonical_label(2 * j, j, k)
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    k: int
-    passed: bool
-    failures: tuple[tuple, ...]
-
-
-def verify_collapse(k: int, table: OrbifoldTable | None = None) -> CollapseReport:
+def verify_collapse(table: OrbifoldTable) -> Report:
     """Check the table against the parafermion ring under the 2:1 collapse.
 
     Sigma-type classes fuse to sigma-type classes; for each pair the
     eps-summed orbifold product must equal the parafermion product with
     every index j expanded to (j,0) + (j,1).
     """
-    if table is None:
-        table = derive_full_table(k)
+    k = table.k
     top = k // 2
     failures = []
     for j1 in range(top + 1):
@@ -289,4 +259,4 @@ def verify_collapse(k: int, table: OrbifoldTable | None = None) -> CollapseRepor
                 )
                 if got.as_dict() != expected:
                     failures.append(("collapse", left, j2, got, expected))
-    return CollapseReport(k=k, passed=not failures, failures=tuple(failures))
+    return Report(tuple(failures))

@@ -18,6 +18,7 @@ from typing import Optional
 
 from .fusion import (
     IrrLabel,
+    Report,
     canonical_label,
     conformal_weight,
     fuse,
@@ -206,15 +207,9 @@ def contragredient(i: int, rows: Optional[tuple] = None) -> int:
     return induce(dual_pair, rows)
 
 
-@dataclass(frozen=True)
-class InductionReport:
-    passed: bool
-    failures: tuple[tuple, ...]
-
-
 def verify_induction_tables(
     golden_dir: Optional[str] = None, check_representatives: bool = True
-) -> InductionReport:
+) -> Report:
     """Re-derive everything and diff against the golden tables.
 
     Covers: the 45-count, orbit partition vs golden rows, weight and
@@ -269,4 +264,4 @@ def verify_induction_tables(
                             failures.append(
                                 ("representative_dependence", i, j, x, y, got)
                             )
-    return InductionReport(passed=not failures, failures=tuple(failures))
+    return Report(tuple(failures))

@@ -167,6 +167,20 @@ def test_sigma_type_enumeration():
         sigma_type_index(canonical_label(1, 0, 5))
 
 
+def test_sigma_type_closed_forms_match_scan():
+    # Oracle: label is sigma-type iff it equals canonical (2j, j) for some
+    # j <= floor(k/2), and that j is its index.
+    for k in range(2, 41):
+        scan = {canonical_label(2 * j, j, k): j for j in range(k // 2 + 1)}
+        for x in all_labels(k):
+            assert is_sigma_type(x) == (x in scan), x
+            if x in scan:
+                assert sigma_type_index(x) == scan[x], x
+            else:
+                with pytest.raises(ValueError):
+                    sigma_type_index(x)
+
+
 def test_conformal_weight_values():
     assert conformal_weight(canonical_label(2, 1, 5)) == Q(2, 7)
     assert conformal_weight(canonical_label(2, 0, 5)) == Q(3, 35)
@@ -216,7 +230,7 @@ def test_untwisted_coset_weights():
 def test_zk_grading_passes():
     for k in range(2, 10):
         report = verify_zk_grading(k)
-        assert report.passed, report.violations[:3]
+        assert report.passed, report.failures[:3]
 
 
 def test_zk_grading_catches_mutation():
@@ -234,7 +248,7 @@ def test_zk_grading_catches_mutation():
 
     report = verify_zk_grading(k, fuse_fn=mutant)
     assert not report.passed
-    assert report.violations
+    assert report.failures
 
 
 def test_weight_one_tops_small():

@@ -109,8 +109,28 @@ def test_derived_tables_verify():
 def test_collapse_matches_parent_ring():
     for k in range(3, 9):
         table = derive_full_table(k)
-        report = verify_collapse(k, table)
+        report = verify_collapse(table)
         assert report.passed, (k, report.failures[:3])
+
+
+def test_collapse_catches_a_cell_moved_in_j():
+    # The collapse sums eps away, so the mutation moves a term in j:
+    # W[1,0] * W[1,0] = W[0,0] + W[1,1] + W[2,0] loses W[2,0] to W[1,0].
+    k = 5
+    table = derive_full_table(k)
+    products = {(x, y): table.product(x, y) for x in table.basis for y in table.basis}
+    x = OrbLabel(1, 0, k)
+    products[(x, x)] = FusionVector.from_pairs(
+        [(OrbLabel(0, 0, k), 1), (OrbLabel(1, 1, k), 1), (OrbLabel(1, 0, k), 1)]
+    )
+    broken = OrbifoldTable(k, products)
+
+    def eps_sum(t):
+        return t.product(x, OrbLabel(1, 0, k)) + t.product(x, OrbLabel(1, 1, k))
+
+    expected = ("collapse", x, 1, eps_sum(broken), eps_sum(table).as_dict())
+    assert table.product(x, x) != products[(x, x)]
+    assert verify_collapse(broken).failures == (expected,)
 
 
 def test_k3_corrected_cell():

@@ -6,6 +6,7 @@ from types import ModuleType
 import parafusion
 
 PACKAGE_DIR = Path(parafusion.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_all_lists_no_modules():
@@ -43,3 +44,43 @@ def test_no_module_imports_random():
             else:
                 continue
             assert all(n.split(".")[0] != "random" for n in names), path.name
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    # Names, attributes, imported names, and strings (the bench tracer
+    # looks its targets up by name).
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_definition_is_used_elsewhere():
+    # A public top-level def or class of the package that nothing outside
+    # its own body names, in the package, the tests or the benchmarks, is
+    # dead code.
+    outside = [REPO / "tests", REPO / "benchmarks"]
+    names = set()
+    for path in (p for d in outside for p in sorted(d.glob("*.py"))):
+        names |= _referenced_names(ast.parse(path.read_text()))
+    statements = [
+        (path.name, stmt, _referenced_names(stmt))
+        for path in sorted((REPO / "src" / "parafusion").glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unused = [
+        f"{module}:{node.name}"
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in names
+        and not any(node.name in refs for _, s, refs in statements if s is not node)
+    ]
+    assert not unused, unused
