@@ -93,6 +93,8 @@ def _parse_entry(x, where: str) -> Fraction:
 def _parse_matrix(rows, where: str, width: int | None = None):
     if not isinstance(rows, list) or not rows:
         raise UsageError(f"{where}: expected a non-empty list of rows")
+    if width is None and not isinstance(rows[0], list):
+        raise UsageError(f"{where}/0: expected a row (a list of entries)")
     n = width if width is not None else len(rows[0])
     out = []
     for i, row in enumerate(rows):

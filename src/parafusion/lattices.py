@@ -3,8 +3,7 @@
 Lattices are Gram-intrinsic: a lattice is its Gram matrix, and vectors
 are coordinate rows in the lattice's own basis.  A rescaling by sqrt(2)
 is therefore just a Gram doubling, and no irrational coordinates ever
-appear.  Sublattices carry a parent pointer plus the coordinate matrix
-of their basis in the parent.
+appear.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ from .linalg import (
     shell_vectors,
     size_reduce_basis,
     snf,
-    solve_left,
     transpose,
     vec,
 )
@@ -52,28 +50,12 @@ Q = Fraction
 class Lattice:
     """Positive-definite lattice given by an exact rational Gram matrix."""
 
-    def __init__(
-        self,
-        gram: Sequence[Sequence],
-        parent: Optional["Lattice"] = None,
-        parent_basis: Optional[Sequence[Sequence]] = None,
-    ):
+    def __init__(self, gram: Sequence[Sequence]):
         g = mat(gram)
         if not is_symmetric(g):
             raise ValueError("gram matrix must be symmetric")
         ldl(g)  # raises on non-positive-definite input
-        if (parent is None) != (parent_basis is None):
-            raise ValueError("parent and parent_basis must be given together")
-        if parent is not None:
-            b = mat(parent_basis)
-            expected = mat_mul(mat_mul(b, parent.gram), transpose(b))
-            if not mat_eq(expected, g):
-                raise ValueError("gram does not match parent_basis over parent")
-            self.parent_basis: Optional[Mat] = b
-        else:
-            self.parent_basis = None
         self.gram: Mat = g
-        self.parent = parent
 
     @property
     def rank(self) -> int:
@@ -96,12 +78,6 @@ class Lattice:
             self.gram[i][i] % 2 == 0 for i in range(self.rank)
         )
 
-    def to_parent(self, x: Sequence) -> tuple:
-        """Coordinates of a vector of this lattice in the parent's basis."""
-        if self.parent_basis is None:
-            raise ValueError("lattice has no parent")
-        return row_mul(vec(x), self.parent_basis)
-
     def __repr__(self):
         return f"Lattice(rank={self.rank}, det={self.det()})"
 
@@ -109,14 +85,12 @@ class Lattice:
 def sublattice(parent: Lattice, basis_rows: Sequence[Sequence]) -> Lattice:
     """Lattice spanned by the given coordinate rows over the parent."""
     b = mat(basis_rows)
-    g = mat_mul(mat_mul(b, parent.gram), transpose(b))
-    return Lattice(g, parent=parent, parent_basis=b)
+    return Lattice(mat_mul(mat_mul(b, parent.gram), transpose(b)))
 
 
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice, with basis gram^{-1} in the original coordinates."""
-    ginv = mat_inv(lat.gram)
-    return Lattice(ginv, parent=lat, parent_basis=ginv)
+    return Lattice(mat_inv(lat.gram))
 
 
 def rescale(lat: Lattice, c) -> Lattice:
@@ -256,10 +230,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         if di > 1:
             factors.append(di)
             gens.append(tuple(Q(e, di) for e in u[i]))
-    total = 1
-    for f in invariant_factors(g_int):
-        total *= f
-    if total != lat.det():
+    if math.prod(d[i][i] for i in range(n)) != lat.det():
         raise AssertionError("invariant factors do not multiply to det")
     q_values = None
     if factors and lat.is_even() and factors[-1] % 2 == 1:
@@ -294,40 +265,39 @@ def annihilator(lat: Lattice, a_rows: Sequence[Sequence]) -> linalg.IntMat:
     return out
 
 
+def _rssd_coefficients(lat: Lattice, a_rows: Sequence[Sequence]):
+    """(S, N, C) for S the HNF of the rows, N their annihilator and C =
+    2·[S; N]^{-1}, or C = None where that is not integral.
+
+    Row i of C writes 2e_i over the basis [S; N] of the span plus its
+    annihilator, so the sublattice is RSSD exactly when C is integral.
+    [S; N] is square: the annihilator has the complementary rank.
+    """
+    a = _require_integer_rows(mat(a_rows), "sublattice")
+    sa, sn = hnf(a), annihilator(lat, a)
+    c = mat_scale(mat_inv(sa + sn), 2)
+    if any(e.denominator != 1 for row in c for e in row):
+        return sa, sn, None
+    return sa, sn, int_mat(c)
+
+
 def is_rssd(lat: Lattice, a_rows: Sequence[Sequence]) -> bool:
     """Whether 2L lies in the integer span of the rows plus their annihilator."""
-    a = _require_integer_rows(mat(a_rows), "sublattice")
-    ann = annihilator(lat, a)
-    span = hnf(tuple(a) + tuple(ann))
-    if len(span) != lat.rank:
-        return False
-    for i in range(lat.rank):
-        target = tuple(2 if j == i else 0 for j in range(lat.rank))
-        y = solve_left(span, target)
-        if y is None or any(c.denominator != 1 for c in y):
-            return False
-    return True
+    return _rssd_coefficients(lat, a_rows)[2] is not None
 
 
 def rssd_involution(lat: Lattice, a_rows: Sequence[Sequence]) -> Isometry:
-    """The involution acting as -1 on the rows' span and +1 on its annihilator."""
-    a = _require_integer_rows(mat(a_rows), "sublattice")
-    sa = hnf(a)
-    sn = annihilator(lat, a)
-    basis = tuple(sa) + tuple(sn)
+    """The involution acting as -1 on the rows' span and +1 on its annihilator.
+
+    Writing 2e_i = alpha_i + beta_i over the span and the annihilator, row i
+    is e_i - alpha_i, and alpha_i is row i of C's span block times S.
+    """
+    sa, sn, c = _rssd_coefficients(lat, a_rows)
+    if c is None:
+        raise ValueError("sublattice is not RSSD; no integral involution")
     n = lat.rank
-    if len(basis) != n:
-        raise ValueError("span plus annihilator does not have full rank")
-    rows = []
-    for i in range(n):
-        target = tuple(2 if j == i else 0 for j in range(n))
-        y = solve_left(basis, target)
-        if y is None or any(c.denominator != 1 for c in y):
-            raise ValueError("sublattice is not RSSD; no integral involution")
-        alpha = row_mul(y[: len(sa)], mat(sa)) if sa else tuple([Q(0)] * n)
-        e_i = tuple(Q(1) if j == i else Q(0) for j in range(n))
-        rows.append(tuple(e_i[j] - alpha[j] for j in range(n)))
-    t = tuple(rows)
+    alpha = mat_mul([row[: len(sa)] for row in c], sa) if sa else ((0,) * n,) * n
+    t = mat_sub(int_identity(n), alpha)
     if any(e.denominator != 1 for row in t for e in row):
         raise AssertionError("involution matrix not integral")
     if not mat_eq(mat_mul(t, t), identity(n)):
@@ -377,7 +347,9 @@ def coxeter_nu(k: int) -> linalg.IntMat:
 
 def sqrt2_a(n: int) -> Lattice:
     """The doubled root lattice sqrt(2)A_n."""
-    return rescale(root_lattice("A", n), 2)
+    if n < 1:
+        raise ValueError(f"A_n needs n >= 1, got {n}")
+    return Lattice(mat_scale(_cartan_a(n), 2))
 
 
 def tau_isometry(k: int, s: int) -> linalg.IntMat:
@@ -418,17 +390,14 @@ def quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[int, 
 def dual_quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[int, ...]:
     """Invariant factors of S*/L* for a full-rank sublattice S of L.
 
-    S* is computed in L's coordinates as (G S^T)^{-1}; the transition
-    matrix of L* over S* must be integral and its SNF gives the quotient.
+    In L's coordinates S* has basis (G S^T)^{-1} and L* has basis G^{-1},
+    so the transition matrix of L* over S* is G^{-1}·(G S^T) = S^T, with
+    no inverse to take; its SNF gives the quotient.
     """
     s = mat(s_rows)
     if len(s) != lat.rank or rank(s) != lat.rank:
         raise ValueError("sublattice basis must be square of full rank")
-    b_sub_dual = mat_inv(mat_mul(lat.gram, transpose(s)))
-    b_dual = mat_inv(lat.gram)
-    trans = mat_mul(b_dual, mat_inv(b_sub_dual))
-    c = _require_integer_rows(trans, "dual transition")
-    return invariant_factors(c)
+    return invariant_factors(transpose(_require_integer_rows(s, "sublattice")))
 
 
 def lattice_intersection(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> Mat:
@@ -538,22 +507,27 @@ def weyl_vector(k: int) -> tuple:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    return _weyl_vector(sqrt2_a(k - 1))
+
+
+def _weyl_vector(lat: Lattice) -> tuple:
+    return row_mul(tuple([Q(2)] * lat.rank), mat_inv(lat.gram))
+
+
+def _weyl_pairings(k: int) -> tuple[Lattice, Mat, tuple[int, ...]]:
+    """sqrt(2)A_{k-1}, S = 1 - nu and the pairing row r·G·S^T / 2."""
     lat = sqrt2_a(k - 1)
-    target = tuple([Q(2)] * (k - 1))
-    return row_mul(target, mat_inv(lat.gram))
+    s = mat_sub(identity(k - 1), mat(coxeter_nu(k)))
+    pairings = row_mul(row_mul(_weyl_vector(lat), lat.gram), transpose(s))
+    out = tuple(e / 2 for e in pairings)
+    if any(e.denominator != 1 for e in out):
+        raise AssertionError("pairing row not integral")
+    return lat, s, tuple(int(e) for e in out)
 
 
 def weyl_pairing_row(k: int) -> tuple[int, ...]:
     """Normalized pairings <r, (1-nu) b_i>/2; comes out as (0, ..., 0, k)."""
-    lat = sqrt2_a(k - 1)
-    r = weyl_vector(k)
-    m = mat(coxeter_nu(k))
-    s = mat_sub(identity(k - 1), m)
-    row = row_mul(row_mul(r, lat.gram), transpose(s))
-    out = tuple(e / 2 for e in row)
-    if any(e.denominator != 1 for e in out):
-        raise AssertionError("pairing row not integral")
-    return tuple(int(e) for e in out)
+    return _weyl_pairings(k)[2]
 
 
 @dataclass(frozen=True)
@@ -568,16 +542,10 @@ class WeylReport:
 def verify_weyl(k: int) -> WeylReport:
     """Check the pairing row, the dual membership of r/2k, and the order-k
     quotient ((1-nu)N)*/N*."""
-    lat = sqrt2_a(k - 1)
-    n = k - 1
-    row = weyl_pairing_row(k)
-    row_ok = row == tuple([0] * (n - 1) + [k])
-    r = weyl_vector(k)
-    m = mat(coxeter_nu(k))
-    s = mat_sub(identity(n), m)
-    x = tuple(e / (2 * k) for e in r)
-    pairings = row_mul(row_mul(x, lat.gram), transpose(s))
-    member = all(e.denominator == 1 for e in pairings)
+    lat, s, row = _weyl_pairings(k)
+    row_ok = row == tuple([0] * (k - 2) + [k])
+    # <r/2k, (1-nu) b_i> is the pairing row over k.
+    member = all(e % k == 0 for e in row)
     inv = dual_quotient_invariants(lat, s)
     order = 1
     for f in inv:

@@ -154,10 +154,8 @@ def derive_orbits() -> list[frozenset]:
     return orbits
 
 
-def induce(x: PairLabel, rows: Optional[tuple] = None) -> int:
+def induce(x: PairLabel, rows: tuple) -> int:
     """Index of the unique golden row whose orbit contains x."""
-    if rows is None:
-        rows = golden_rows()
     orb = orbit_of(x)
     matches = [i for i, row in enumerate(rows) if frozenset(row) == orb]
     if len(matches) != 1:
@@ -165,10 +163,8 @@ def induce(x: PairLabel, rows: Optional[tuple] = None) -> int:
     return matches[0]
 
 
-def u_weight_dim(i: int, rows: Optional[tuple] = None) -> tuple[Fraction, int]:
+def u_weight_dim(i: int, rows: tuple) -> tuple[Fraction, int]:
     """Minimal summand weight of row i and the number of summands attaining it."""
-    if rows is None:
-        rows = golden_rows()
     if not (0 <= i <= 8):
         raise ValueError(f"index {i} outside [0,8]")
     weights = [
@@ -181,13 +177,11 @@ def u_weight_dim(i: int, rows: Optional[tuple] = None) -> tuple[Fraction, int]:
 def u_fuse(
     i: int,
     j: int,
-    rows: Optional[tuple] = None,
+    rows: tuple,
     reps: Optional[tuple[PairLabel, PairLabel]] = None,
 ) -> tuple[int, ...]:
     """Product row indices of rows i and j, via componentwise fusion of
     representatives followed by induction; asserted multiplicity-free."""
-    if rows is None:
-        rows = golden_rows()
     x, y = reps if reps is not None else (rows[i][0], rows[j][0])
     counts: dict[int, int] = {}
     for z, m in pair_fuse(x, y).items():
@@ -198,10 +192,8 @@ def u_fuse(
     return tuple(sorted(counts))
 
 
-def contragredient(i: int, rows: Optional[tuple] = None) -> int:
+def contragredient(i: int, rows: tuple) -> int:
     """Row index of the componentwise dual of row i's representative."""
-    if rows is None:
-        rows = golden_rows()
     x = rows[i][0]
     dual_pair = PairLabel(theta_dual(x.left), theta_dual(x.right))
     return induce(dual_pair, rows)

@@ -312,6 +312,24 @@ def test_bad_entry_named(capsys, tmp_path):
     assert "gram/0/1" in err
 
 
+def test_gram_with_a_non_list_row_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"gram": [5]}))
+    code, out, err = run(capsys, "lattice-info", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}/gram/0: expected a row" in err
+
+
+def test_rssd_parent_gram_with_a_non_list_row_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "flat_parent.json"
+    path.write_text(json.dumps({"basis": [[1]], "parent": {"gram": [5]}}))
+    code, out, err = run(capsys, "rssd", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}/parent/gram/0: expected a row" in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "parafusion.cli", "fuse", "-k", "5", "1,0", "1,0"],

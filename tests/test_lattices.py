@@ -32,7 +32,19 @@ from parafusion.lattices import (
     weyl_pairing_row,
     weyl_vector,
 )
-from parafusion.linalg import identity, mat, mat_eq, mat_mul, mat_sub, transpose
+import parafusion.lattices as lattices_mod
+from parafusion import linalg
+from parafusion.linalg import (
+    identity,
+    int_mat,
+    invariant_factors,
+    mat,
+    mat_eq,
+    mat_inv,
+    mat_mul,
+    mat_sub,
+    transpose,
+)
 
 
 def kron(a, b):
@@ -110,7 +122,6 @@ def test_sublattice_to_parent():
     sub = sublattice(a2, [[1, 1]])
     assert sub.rank == 1
     assert sub.gram == mat([[2]])
-    assert sub.to_parent((1,)) == (1, 1)
 
 
 def test_discriminant_groups():
@@ -400,3 +411,129 @@ def test_isometry_validation():
         Isometry([[1, 0], [1, 1]], a2)  # does not preserve the form
     iso = Isometry([[0, 1], [1, 0]], a2)
     assert iso.order() == 2
+
+
+def dual_quotient_by_gram(lat, s_rows):
+    """S*/L* by its definition: S* has basis (G S^T)^{-1} and L* has basis
+    G^{-1} in L's coordinates; the transition of L* over S* gives the SNF."""
+    s = mat(s_rows)
+    sub_dual = mat_inv(mat_mul(lat.gram, transpose(s)))
+    trans = mat_mul(mat_inv(lat.gram), mat_inv(sub_dual))
+    assert all(e.denominator == 1 for row in trans for e in row)
+    return invariant_factors(int_mat(trans))
+
+
+def test_dual_quotient_matches_the_gram_route():
+    cases = []
+    for k in range(3, 13):
+        cases.append((sqrt2_a(k - 1), mat_sub(identity(k - 1), mat(coxeter_nu(k)))))
+    tensor_cases = (
+        (3, root_lattice("A", 2)),
+        (3, root_lattice("E", 6)),
+        (5, root_lattice("A", 2)),
+    )
+    for p, r_lat in tensor_cases:
+        t = tensor(root_lattice("A", p - 1), r_lat)
+        nu_t = kron(coxeter_nu(p), identity(r_lat.rank))
+        cases.append((t, mat_sub(identity(t.rank), mat(nu_t))))
+    a2_dual = dual(root_lattice("A", 2))
+    cases.append((a2_dual, mat_sub(identity(2), mat(coxeter_nu(3)))))
+    for lat, s in cases:
+        assert dual_quotient_invariants(lat, s) == dual_quotient_by_gram(lat, s)
+
+
+def test_dual_quotient_validation():
+    a2 = root_lattice("A", 2)
+    with pytest.raises(ValueError, match="square of full rank"):
+        dual_quotient_invariants(a2, [[1, 0]])
+    with pytest.raises(ValueError, match="non-integer"):
+        dual_quotient_invariants(a2, [[Q(1, 2), 0], [0, 1]])
+
+
+def rssd_cases():
+    a2 = root_lattice("A", 2)
+    cases = [
+        (a2, [[1, 0]]),
+        (a2, [[3, 0]]),
+        (a2, identity(2)),
+        (a2, [[1, 0], [2, 0]]),  # rank-deficient rows, RSSD span
+        (a2, [[3, 0], [6, 0]]),  # rank-deficient rows, not RSSD
+        (root_lattice("A", 3), [[1, 0, 0], [0, 0, 1]]),
+    ]
+    a = root_lattice("A", 2)
+    for r_lat in (root_lattice("A", 2), root_lattice("A", 3)):
+        t = tensor(a, r_lat)
+        for beta in shell(r_lat, 2):
+            rows = [
+                tensor_vector(tuple(1 if j == i else 0 for j in range(a.rank)), beta)
+                for i in range(a.rank)
+            ]
+            cases.append((t, rows))
+    return cases
+
+
+def test_is_rssd_agrees_with_rssd_involution():
+    seen = set()
+    for lat, rows in rssd_cases():
+        try:
+            rssd_involution(lat, rows)
+            raised = False
+        except ValueError as exc:
+            assert "not RSSD" in str(exc)
+            raised = True
+        assert is_rssd(lat, rows) is not raised
+        seen.add(raised)
+    assert seen == {True, False}
+    a2 = root_lattice("A", 2)
+    for f in (is_rssd, rssd_involution):
+        with pytest.raises(ValueError, match="non-integer"):
+            f(a2, [[Q(1, 2), 0]])
+
+
+def count_calls(monkeypatch, owners, name):
+    """Replace ``name`` in each owner module by one counting wrapper."""
+    calls = []
+    real = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_rssd_involution_eliminations_do_not_grow_with_rank(monkeypatch):
+    calls = count_calls(monkeypatch, [linalg], "_gauss_jordan")
+    counts = []
+    for n in (2, 8):
+        lat = root_lattice("A", n)
+        del calls[:]
+        rssd_involution(lat, [[1] + [0] * (n - 1)])
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_sublattice_multiplies_twice(monkeypatch):
+    calls = count_calls(monkeypatch, [lattices_mod], "mat_mul")
+    sublattice(root_lattice("A", 3), [[1, 1, 0], [0, 1, 1]])
+    assert len(calls) == 2
+
+
+def test_discriminant_group_runs_one_snf(monkeypatch):
+    calls = count_calls(monkeypatch, [lattices_mod, linalg], "snf")
+    assert discriminant_group(root_lattice("E", 6)).invariant_factors == (3,)
+    assert len(calls) == 1
+
+
+def test_dual_quotient_takes_no_inverse(monkeypatch):
+    calls = count_calls(monkeypatch, [lattices_mod, linalg], "mat_inv")
+    s = mat_sub(identity(6), mat(coxeter_nu(7)))
+    assert dual_quotient_invariants(sqrt2_a(6), s) == (1, 1, 1, 1, 1, 7)
+    assert calls == []
+
+
+def test_sqrt2_a_validation():
+    with pytest.raises(ValueError, match="n >= 1"):
+        sqrt2_a(0)
