@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .linalg import rank
 
 
 class LevelMismatchError(ValueError):
@@ -224,6 +226,37 @@ class Report:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> Report:
+    """Exact associativity proof by Light's test (Clifford–Preston I, §1.2).
+
+    The g with (x·g)·y = x·(g·y) for all x, y form a subalgebra, so testing
+    each generator (failing as ("associativity", x, g, y)) suffices once the
+    products kept while independent reach rank n ("generators_span", r, n).
+    """
+    unit = {x: FusionVector(((x, 1),)) for x in basis}
+    failures = [
+        ("associativity", x, g, y)
+        for g in gens for x in basis for y in basis
+        if fuse_vectors(product(x, g), unit[y], product)
+        != fuse_vectors(unit[x], product(g, y), product)
+    ]
+    pivots, reached = [], [unit[g] for g in gens]
+    for v in reached:
+        row = v.as_dict()
+        for lab, p, _ in pivots:  # each pivot row is zero at the earlier pivots
+            if row.get(lab):
+                c, d = row[lab], p[lab]
+                row = {x: d * row.get(x, 0) - c * p.get(x, 0) for x in row | p}
+                row = {x: m for x, m in row.items() if m}
+        if row:
+            pivots.append((next(iter(row)), row, v.as_dict()))
+            reached.extend(fuse_vectors(v, unit[g], product) for g in gens)
+    r = rank([[w.get(x, 0) for x in basis] for _, _, w in pivots])
+    if r != len(basis):
+        failures.append(("generators_span", r, len(basis)))
+    return Report(tuple(failures))
 
 
 def verify_zk_grading(

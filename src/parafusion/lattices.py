@@ -274,6 +274,8 @@ def _rssd_coefficients(lat: Lattice, a_rows: Sequence[Sequence]):
     [S; N] is square: the annihilator has the complementary rank.
     """
     a = _require_integer_rows(mat(a_rows), "sublattice")
+    if any(len(row) != lat.rank for row in a):
+        raise ValueError(f"sublattice rows must have width {lat.rank}")
     sa, sn = hnf(a), annihilator(lat, a)
     c = mat_scale(mat_inv(sa + sn), 2)
     if any(e.denominator != 1 for row in c for e in row):

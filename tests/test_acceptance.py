@@ -28,6 +28,8 @@ from parafusion.fusion import (
     canonical_label,
     fuse,
     fuse_vectors,
+    simple_current,
+    verify_associativity,
     verify_weight_one_tops,
     verify_zk_grading,
 )
@@ -93,9 +95,18 @@ def test_criterion_01_fusion_ring_axioms():
             for _ in range(10_000):
                 x, y, z = (rng.choice(labels) for _ in range(3))
                 assert associative(x, y, z), (k, x, y, z)
+    # Light's test: an exact associativity proof at every level, the
+    # sampled levels 7 and 8 included.
+    for k in range(2, 11):
+        gens = (canonical_label(1, 0, k), simple_current(1, k))
+        report = verify_associativity(all_labels(k), fuse, gens)
+        assert report.passed, (k, report.failures[:3])
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds 60s"
-    print(f"criterion 1: PASS — ring axioms for k=2..8 ({elapsed:.1f}s)")
+    print(
+        f"criterion 1: PASS — ring axioms for k=2..8, "
+        f"associativity by Light's test for k=2..10 ({elapsed:.1f}s)"
+    )
 
 
 def test_criterion_02_cyclic_grading():

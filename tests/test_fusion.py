@@ -4,6 +4,8 @@ from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafusion.fusion import (
     FusionVector,
@@ -23,6 +25,7 @@ from parafusion.fusion import (
     to_tilde,
     twisted_conformal_weight,
     untwisted_coset_weight,
+    verify_associativity,
     verify_weight_one_tops,
     verify_zk_grading,
 )
@@ -89,6 +92,37 @@ def test_fuse_associativity_small_levels():
             left = fuse_vectors(fuse(x, y), single[z])
             right = fuse_vectors(single[x], fuse(y, z))
             assert left == right, (k, x, y, z)
+
+
+def test_simple_current_alone_spans_only_its_orbit():
+    for k in range(2, 7):
+        labels = all_labels(k)
+        report = verify_associativity(labels, fuse, [simple_current(1, k)])
+        assert report.failures == (("generators_span", k, len(labels)),), k
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_light_test_passes_only_associative_products(data):
+    # Add one term to a symmetric pair of cells of the level-k ring. Light's
+    # test is a proof, so it may pass only where all triples associate.
+    k = data.draw(st.integers(3, 4), label="k")
+    labels = all_labels(k)
+    x, y, bump = (data.draw(st.sampled_from(labels)) for _ in range(3))
+
+    def product(a, b):
+        out = fuse(a, b)
+        return out + FusionVector(((bump, 1),)) if {a, b} == {x, y} else out
+
+    single = {lab: FusionVector(((lab, 1),)) for lab in labels}
+    associative = all(
+        fuse_vectors(product(a, b), single[c], product)
+        == fuse_vectors(single[a], product(b, c), product)
+        for a in labels for b in labels for c in labels
+    )
+    gens = (canonical_label(1, 0, k), simple_current(1, k))
+    report = verify_associativity(labels, product, gens)
+    assert associative or not report.passed
 
 
 def test_fuse_multiplicity_free():

@@ -490,6 +490,14 @@ def test_is_rssd_agrees_with_rssd_involution():
             f(a2, [[Q(1, 2), 0]])
 
 
+def test_rssd_rejects_rows_of_the_wrong_width():
+    a2 = root_lattice("A", 2)
+    for f in (is_rssd, rssd_involution):
+        for rows in ([[1, 2, 3]], [[1]], [[1, 0], [0, 1, 0]]):
+            with pytest.raises(ValueError, match="width 2"):
+                f(a2, rows)
+
+
 def count_calls(monkeypatch, owners, name):
     """Replace ``name`` in each owner module by one counting wrapper."""
     calls = []

@@ -1,9 +1,16 @@
 """Orbifold ring: basis, weights, seeded products, derived tables."""
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 
 import pytest
 
-from parafusion.fusion import FusionVector, canonical_label, conformal_weight
+from parafusion.fusion import (
+    FusionVector,
+    canonical_label,
+    conformal_weight,
+    fuse_vectors,
+    verify_associativity,
+)
 from parafusion.orbifold import (
     OrbifoldTable,
     OrbLabel,
@@ -172,3 +179,71 @@ def test_sign_violation_reported_by_both_verifiers():
     report = verify_table(broken)
     assert not report.passed
     assert expected in report.failures
+
+
+def all_triples_associativity(table):
+    """Test oracle: yield every basis triple (x, y, z) with (x·y)·z != x·(y·z)."""
+    single = {lab: FusionVector.from_pairs([(lab, 1)]) for lab in table.basis}
+    for x in table.basis:
+        for y in table.basis:
+            xy = table.product(x, y)
+            for z in table.basis:
+                left = fuse_vectors(xy, single[z], table.product)
+                right = fuse_vectors(single[x], table.product(y, z), table.product)
+                if left != right:
+                    yield x, y, z
+
+
+def associativity_failures(report):
+    return [f for f in report.failures if f[0] == "associativity"]
+
+
+def test_light_test_agrees_with_all_triples_oracle():
+    for k in range(3, 9):
+        table = derive_full_table(k)
+        assert list(all_triples_associativity(table)) == [], k
+        assert associativity_failures(verify_table(table)) == [], k
+
+
+def bump_cell(table, x, y):
+    """The table with 1 added to the first term of both cells (x, y), (y, x)."""
+    products = {(a, b): table.product(a, b) for a in table.basis for b in table.basis}
+    first, _ = products[(x, y)].terms[0]
+    products[(x, y)] = products[(y, x)] = products[(x, y)] + FusionVector(((first, 1),))
+    return OrbifoldTable(table.k, products)
+
+
+def test_light_test_catches_every_mutated_cell_off_the_generators():
+    # No mutated cell involves W[0,0] or a generator, so the generator test
+    # can only see it through the products x·g and g·y.
+    k = 8
+    table = derive_full_table(k)
+    gens = {OrbLabel(0, 1, k), OrbLabel(1, 0, k)}
+    cells = [
+        (x, y)
+        for x, y in combinations_with_replacement(table.basis, 2)
+        if not {x, y} & (gens | {OrbLabel(0, 0, k)})
+    ]
+    assert len(cells) == 28
+    for x, y in cells:
+        broken = bump_cell(table, x, y)
+        report = verify_table(broken)
+        assert report.failures, (x, y)
+        assert report.failures == tuple(associativity_failures(report)), (x, y)
+        assert all(g in gens for _, _, g, _ in report.failures)
+        assert next(all_triples_associativity(broken), None) is not None, (x, y)
+
+
+def test_one_generator_does_not_span():
+    k = 8
+    table = derive_full_table(k)
+    report = verify_associativity(table.basis, table.product, [OrbLabel(0, 1, k)])
+    # W[0,1] reaches only itself and W[0,1]·W[0,1] = W[0,0]
+    assert report.failures == (("generators_span", 2, len(table.basis)),)
+
+
+def test_derived_tables_and_collapse_up_to_level_32():
+    for k in [*range(3, 25), 32]:
+        table = derive_full_table(k)  # raises unless verify_table passes
+        report = verify_collapse(table)
+        assert report.passed, (k, report.failures[:3])
