@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import rank
@@ -107,9 +108,18 @@ def canonical_label(i: int, j: int, k: int) -> IrrLabel:
     return IrrLabel(i, j, k)
 
 
+@lru_cache(maxsize=None)
+def _canonical(i: int, j: int, k: int) -> tuple[str, IrrLabel]:
+    """(repr, label) of a canonical pair 0 <= j < i <= k, built once and
+    shared by ``fuse`` and ``all_labels``.  Filled on demand: a table of
+    every label per level would be O(k^2)."""
+    label = canonical_label(i, j, k)
+    return repr(label), label
+
+
 def all_labels(k: int) -> list[IrrLabel]:
     """All k(k+1)/2 canonical labels at level k, sorted."""
-    return sorted(IrrLabel(i, j, k) for i in range(1, k + 1) for j in range(i))
+    return [_canonical(i, j, k)[1] for i in range(1, k + 1) for j in range(i)]
 
 
 def to_tilde(label: IrrLabel) -> TildeLabel:
@@ -139,11 +149,16 @@ def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
     s = 2 * a.j - a.i + 2 * b.j - b.i
     lo = abs(a.i - b.i)
     hi = min(a.i + b.i, 2 * k - a.i - b.i)
-    pairs = []
-    for r in range(lo, hi + 1):
-        if (a.i + b.i + r) % 2 == 0:
-            pairs.append((canonical_label(r, (s + r) // 2, k), 1))
-    return FusionVector.from_pairs(pairs)
+    # The rule is multiplicity-free (distinct r give distinct classes), so
+    # no merging; j >= r is identified as in canonical_label.
+    found = []
+    for r in range(lo, hi + 1, 2):
+        j = (s + r) // 2 % k
+        found.append(_canonical(r, j, k) if j < r else _canonical(k - r, j - r, k))
+    found.sort()
+    # From a list, not a generator: a resized tuple's oversize block stays
+    # in the free lists and raises peak RSS.
+    return FusionVector(tuple([(label, 1) for _, label in found]))
 
 
 def fuse_vectors(
@@ -236,11 +251,13 @@ def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> 
     products kept while independent reach rank n ("generators_span", r, n).
     """
     unit = {x: FusionVector(((x, 1),)) for x in basis}
+    xg = {(x, g): product(x, g) for g in gens for x in basis}
+    gy = {(g, y): product(g, y) for g in gens for y in basis}
     failures = [
         ("associativity", x, g, y)
         for g in gens for x in basis for y in basis
-        if fuse_vectors(product(x, g), unit[y], product)
-        != fuse_vectors(unit[x], product(g, y), product)
+        if fuse_vectors(xg[x, g], unit[y], product)
+        != fuse_vectors(unit[x], gy[g, y], product)
     ]
     pivots, reached = [], [unit[g] for g in gens]
     for v in reached:
@@ -252,7 +269,9 @@ def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> 
                 row = {x: m for x, m in row.items() if m}
         if row:
             pivots.append((next(iter(row)), row, v.as_dict()))
-            reached.extend(fuse_vectors(v, unit[g], product) for g in gens)
+            reached.extend(
+                fuse_vectors(v, unit[g], lambda x, h: xg[x, h]) for g in gens
+            )
     r = rank([[w.get(x, 0) for x in basis] for _, _, w in pivots])
     if r != len(basis):
         failures.append(("generators_span", r, len(basis)))

@@ -128,6 +128,19 @@ def _operator(
     return tuple(tuple(r) for r in m)
 
 
+def _sparse_mul(a, m) -> tuple:
+    """The product a·m through the nonzero entries of a: O(n^2) when each
+    row of a has O(1) of them, as the generator operators do."""
+    out = []
+    for row in a:
+        acc = [0] * len(m[0])
+        for c, v in enumerate(row):
+            if v:
+                acc = [x + v * y for x, y in zip(acc, m[c])]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def derive_full_table(k: int) -> OrbifoldTable:
     """Derive the table from the generator rows by operator recursion,
     then run ``verify_table`` on it.
@@ -145,15 +158,13 @@ def derive_full_table(k: int) -> OrbifoldTable:
         OrbLabel(0, 0, k): int_identity(n),
         OrbLabel(0, 1, k): a1,
         OrbLabel(1, 0, k): a2,
-        OrbLabel(1, 1, k): mat_mul(a1, a2),
+        OrbLabel(1, 1, k): _sparse_mul(a1, a2),
     }
     for j in range(1, top):
-        nxt = mat_sub(
-            mat_sub(mat_mul(a2, ops[OrbLabel(j, 0, k)]), ops[OrbLabel(j - 1, 0, k)]),
-            mat_mul(a1, ops[OrbLabel(j, 0, k)]),
-        )
+        prev, cur = ops[OrbLabel(j - 1, 0, k)], ops[OrbLabel(j, 0, k)]
+        nxt = mat_sub(mat_sub(_sparse_mul(a2, cur), prev), _sparse_mul(a1, cur))
         ops[OrbLabel(j + 1, 0, k)] = nxt
-        ops[OrbLabel(j + 1, 1, k)] = mat_mul(a1, nxt)
+        ops[OrbLabel(j + 1, 1, k)] = _sparse_mul(a1, nxt)
 
     products = {}
     for x in basis:

@@ -97,7 +97,7 @@ def test_criterion_01_fusion_ring_axioms():
                 assert associative(x, y, z), (k, x, y, z)
     # Light's test: an exact associativity proof at every level, the
     # sampled levels 7 and 8 included.
-    for k in range(2, 11):
+    for k in range(2, 13):
         gens = (canonical_label(1, 0, k), simple_current(1, k))
         report = verify_associativity(all_labels(k), fuse, gens)
         assert report.passed, (k, report.failures[:3])
@@ -105,7 +105,7 @@ def test_criterion_01_fusion_ring_axioms():
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds 60s"
     print(
         f"criterion 1: PASS — ring axioms for k=2..8, "
-        f"associativity by Light's test for k=2..10 ({elapsed:.1f}s)"
+        f"associativity by Light's test for k=2..12 ({elapsed:.1f}s)"
     )
 
 

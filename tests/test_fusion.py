@@ -11,6 +11,7 @@ from parafusion.fusion import (
     FusionVector,
     IrrLabel,
     LevelMismatchError,
+    _canonical,
     all_labels,
     canonical_label,
     conformal_weight,
@@ -64,6 +65,62 @@ def test_all_labels_count():
         labels = all_labels(k)
         assert len(labels) == k * (k + 1) // 2
         assert len(set(labels)) == len(labels)
+        assert labels == sorted(labels)
+
+
+def oracle_fuse(a, b):
+    """Test oracle: the fusion rule with every candidate r, each term built
+    by canonical_label and merged and ordered by FusionVector.from_pairs."""
+    if a.k != b.k:
+        raise LevelMismatchError(f"levels differ: {a.k} vs {b.k}")
+    k = a.k
+    s = 2 * a.j - a.i + 2 * b.j - b.i
+    pairs = []
+    for r in range(abs(a.i - b.i), min(a.i + b.i, 2 * k - a.i - b.i) + 1):
+        if (a.i + b.i + r) % 2 == 0:
+            pairs.append((canonical_label(r, (s + r) // 2, k), 1))
+    return FusionVector.from_pairs(pairs)
+
+
+def test_fuse_matches_oracle_on_every_pair():
+    for k in range(2, 17):
+        labels = all_labels(k)
+        shared = {x: x for x in labels}
+        for x in labels:
+            for y in labels:
+                got = fuse(x, y)
+                assert got.terms == oracle_fuse(x, y).terms, (x, y)
+                reprs = [repr(z) for z, _ in got]
+                assert reprs == sorted(reprs)
+                # fuse and all_labels hand out the same label objects
+                assert all(shared[z] is z for z, _ in got), (x, y)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_fuse_matches_oracle_at_random_levels(data):
+    def label(k):
+        i = data.draw(st.integers(1, k))
+        return IrrLabel(i, data.draw(st.integers(0, i - 1)), k)
+
+    k = data.draw(st.integers(2, 200), label="k")
+    a, b = label(k), label(k)
+    assert fuse(a, b).terms == oracle_fuse(a, b).terms
+
+
+def test_label_cache_fills_on_demand():
+    # A table of every label at this level would hold 5 * 10^9 entries;
+    # fuse may add only the labels it returns.
+    k = 100_001
+    a, b = canonical_label(70, 3, k), canonical_label(9, 5, k)
+    before = _canonical.cache_info().currsize
+    out = fuse(a, b)
+    assert len(out) == 10
+    assert _canonical.cache_info().currsize - before <= len(out)
+    again = fuse(b, a)
+    assert again == out
+    assert all(x is y for (x, _), (y, _) in zip(again, out))
+    assert _canonical.cache_info().currsize - before <= len(out)
 
 
 def test_fuse_known_example():
@@ -92,6 +149,28 @@ def test_fuse_associativity_small_levels():
             left = fuse_vectors(fuse(x, y), single[z])
             right = fuse_vectors(single[x], fuse(y, z))
             assert left == right, (k, x, y, z)
+
+
+def test_light_test_computes_each_generator_product_once():
+    k = 10
+    labels = all_labels(k)
+    gens = (canonical_label(1, 0, k), simple_current(1, k))
+    calls = 0
+
+    def counting_fuse(a, b):
+        nonlocal calls
+        calls += 1
+        return fuse(a, b)
+
+    assert verify_associativity(labels, counting_fuse, gens).passed
+    # x·g and g·y once each per generator; then one call per term of x·g
+    # against y and per term of g·y against x. The span certificate reuses
+    # the x·g products and makes no call.
+    n = len(labels)
+    expected = 2 * len(gens) * n + 2 * n * sum(
+        len(fuse(x, g)) for g in gens for x in labels
+    )
+    assert calls == expected == 17_270
 
 
 def test_simple_current_alone_spans_only_its_orbit():
@@ -133,8 +212,12 @@ def test_fuse_multiplicity_free():
 
 
 def test_level_mismatch():
-    with pytest.raises(LevelMismatchError):
-        fuse(canonical_label(1, 0, 5), canonical_label(1, 0, 6))
+    levels = [((1, 0, 5), (1, 0, 6)), ((3, 1, 9), (1, 0, 8)), ((2, 0, 4), (2, 0, 40))]
+    for a, b in levels:
+        with pytest.raises(LevelMismatchError):
+            fuse(canonical_label(*a), canonical_label(*b))
+        with pytest.raises(LevelMismatchError):
+            fuse(canonical_label(*b), canonical_label(*a))
 
 
 def test_simple_current_action():

@@ -1,5 +1,6 @@
 """Orbifold ring: basis, weights, seeded products, derived tables."""
 from fractions import Fraction as Q
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -11,9 +12,11 @@ from parafusion.fusion import (
     fuse_vectors,
     verify_associativity,
 )
+from parafusion.linalg import int_identity, mat_mul, mat_sub, transpose
 from parafusion.orbifold import (
     OrbifoldTable,
     OrbLabel,
+    _operator,
     derive_full_table,
     generator_fuse,
     orbifold_basis,
@@ -247,3 +250,29 @@ def test_derived_tables_and_collapse_up_to_level_32():
         table = derive_full_table(k)  # raises unless verify_table passes
         report = verify_collapse(table)
         assert report.passed, (k, report.failures[:3])
+
+
+def dense_derivation(k):
+    """Test oracle: derive_full_table's operator recursion with dense
+    linalg.mat_mul products, as the products of an OrbifoldTable."""
+    basis = orbifold_basis(k)
+    a1 = _operator(basis, partial(generator_fuse, OrbLabel(0, 1, k)))
+    a2 = _operator(basis, partial(generator_fuse, OrbLabel(1, 0, k)))
+    ops = {(0, 0): int_identity(len(basis)), (0, 1): a1, (1, 0): a2, (1, 1): mat_mul(a1, a2)}
+    for j in range(1, k // 2):
+        nxt = mat_sub(
+            mat_sub(mat_mul(a2, ops[j, 0]), ops[j - 1, 0]), mat_mul(a1, ops[j, 0])
+        )
+        ops[j + 1, 0], ops[j + 1, 1] = nxt, mat_mul(a1, nxt)
+    return {
+        (x, y): FusionVector.from_pairs(zip(basis, column))
+        for x in basis
+        for y, column in zip(basis, transpose(ops[x.j, x.eps]))
+    }
+
+
+def test_sparse_derivation_matches_dense_recursion():
+    for k in range(3, 25):
+        table = derive_full_table(k)
+        got = {(x, y): table.product(x, y) for x in table.basis for y in table.basis}
+        assert got == dense_derivation(k), k
