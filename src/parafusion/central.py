@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 from .lattices import Isometry, Lattice
 from .linalg import (
-    f2_echelon, f2_pack, f2_row_mul, f2_unpack, int_identity, int_mat, mat, mat_inv,
-    mat_mul, mat_pow, mat_scale, row_mul, vec,
+    IntMat, clear_denominators, f2_echelon, f2_pack, f2_row_mul, f2_unpack,
+    int_identity, int_mat, mat_inv, mat_mul, mat_pow, mat_scale, row_mul, vec,
 )
 
 Bits = tuple[int, ...]
@@ -181,19 +181,22 @@ def b_g_form(eps: F2BilinearForm, g_matrix: Sequence[Sequence]) -> F2BilinearFor
 
 @dataclass(frozen=True)
 class Lift:
-    """Lift (g, eta) of an isometry g to the central extension."""
+    """Lift (g, eta) of an isometry g to the central extension; the base
+    is given as exact rows and stored as ``int`` rows."""
 
     lattice: Lattice
     eps: F2BilinearForm
-    base: tuple
+    base: IntMat
     eta: F2QuadraticForm
 
     def __post_init__(self):
-        m = mat(self.base)
-        object.__setattr__(self, "base", m)
-        iso = Isometry(m, self.lattice)
-        if not iso.is_integral():
+        # Every lift, composites included, is checked in full, over int.
+        s, m = clear_denominators(self.base)
+        if not self.lattice.preserves_form(m, s):
+            raise ValueError("matrix does not preserve the gram form")
+        if s != 1:
             raise ValueError("lift base must be an integral isometry")
+        object.__setattr__(self, "base", m)
         expected = b_g_form(self.eps, m)
         if self.eta.polarization.matrix != expected.matrix:
             raise ValueError("eta polarization must equal eps + eps^g")
@@ -220,7 +223,7 @@ def lift(
     eta = F2QuadraticForm(
         tuple(int(d) % 2 for d in diagonal), b_g_form(eps, g_matrix)
     )
-    return Lift(lat, eps, mat(g_matrix), eta)
+    return Lift(lat, eps, g_matrix, eta)
 
 
 def lift_power_sign(lf: Lift, alpha: Sequence, n: int) -> int:
@@ -247,7 +250,7 @@ def lift_power_sign_even_form(lf: Lift, alpha: Sequence, n: int) -> int:
     for _ in range(n):
         acc ^= x
         x = f2_row_mul(x, gbar)
-    half = mat_pow(int_mat(lf.base), n // 2)
+    half = mat_pow(lf.base, n // 2)
     a = vec(alpha)
     pair = lf.lattice.inner(a, row_mul(a, half))
     if pair.denominator != 1:
@@ -273,7 +276,7 @@ def compose(after: Lift, first: Lift) -> Lift:
     diagonals and as polarizations."""
     if after.lattice is not first.lattice and after.lattice.gram != first.lattice.gram:
         raise ValueError("lifts live on different lattices")
-    base = mat_mul(int_mat(first.base), int_mat(after.base))
+    base = mat_mul(first.base, after.base)
     moved = pullback(after.eta, first.base_mod2())
     eta = F2QuadraticForm(
         tuple((a + b) % 2 for a, b in zip(first.eta.diagonal, moved.diagonal)),
@@ -335,9 +338,8 @@ def commuting_lift(f_matrix: Sequence[Sequence], g_lift: Lift, m: int) -> Lift:
     lat = g_lift.lattice
     n = lat.rank
     f = int_mat(f_matrix)
-    g = int_mat(g_lift.base)
-    gm = mat_pow(g, m)
-    if mat_mul(f, g) != mat_mul(gm, f):
+    gm = mat_pow(g_lift.base, m)
+    if mat_mul(f, g_lift.base) != mat_mul(gm, f):
         raise ValueError("relation f^{-1} g f = g^m fails on the lattice")
     xi = lift(f, lat, g_lift.eps)
     g_lift_m = lift_power(g_lift, m)

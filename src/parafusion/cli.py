@@ -174,12 +174,22 @@ def load_code(path: str):
         raise UsageError(f"{path}: {exc}") from None
 
 
-class _MinimumLevel(argparse.Action):
-    """Stores -k; a level below ``const`` is a usage error (exit 2)."""
+# lift-order builds (k-1)x(k-1) matrices and multiplies them up to k
+# times: 13 s at k = 128 on a 2-core x86 host, so a level past this
+# bound is a usage error rather than a run of minutes or a MemoryError.
+MAX_LATTICE_LEVEL = 128
+
+
+class _Level(argparse.Action):
+    """Stores -k; a level outside ``const`` = (lowest, highest or None)
+    is a usage error (exit 2)."""
 
     def __call__(self, parser, namespace, k, option_string=None):
-        if k < self.const:
-            parser.error(f"level {k}: need k >= {self.const}")
+        lowest, highest = self.const
+        if k < lowest:
+            parser.error(f"level {k}: need k >= {lowest}")
+        if highest is not None and k > highest:
+            parser.error(f"level {k}: need k <= {highest}")
         setattr(namespace, self.dest, k)
 
 
@@ -474,11 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    level = {m: argparse.ArgumentParser(add_help=False) for m in (2, 3)}
-    for m, p in level.items():
+    bounds = {2: (2, None), 3: (3, None), "lattice": (3, MAX_LATTICE_LEVEL)}
+    level = {}
+    for key, (lowest, highest) in bounds.items():
+        level[key] = p = argparse.ArgumentParser(add_help=False)
         p.add_argument(
-            "-k", "--level", type=int, action=_MinimumLevel, const=m, required=True,
-            help="level k",
+            "-k", "--level", type=int, action=_Level, const=(lowest, highest),
+            required=True,
+            help="level k" if highest is None else f"level k, at most {highest}",
         )
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -526,14 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "quotient",
-        parents=[common, level[3]],
+        parents=[common, level["lattice"]],
         help="quotient invariants for the Coxeter isometry",
     )
     p.set_defaults(handler=cmd_quotient)
 
     p = sub.add_parser(
         "lift-order",
-        parents=[common, level[3]],
+        parents=[common, level["lattice"]],
         help="orders of standard lifts on the rescaled root lattice",
     )
     p.set_defaults(handler=cmd_lift_order)

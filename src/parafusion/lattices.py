@@ -26,8 +26,8 @@ from .linalg import (
     int_mat,
     integer_row_kernel,
     invariant_factors,
+    is_positive_definite,
     is_symmetric,
-    ldl,
     mat,
     mat_eq,
     mat_inv,
@@ -48,13 +48,18 @@ Q = Fraction
 
 
 class Lattice:
-    """Positive-definite lattice given by an exact rational Gram matrix."""
+    """Positive-definite lattice given by an exact rational Gram matrix.
+
+    Its denominators are cleared once, into gram = _int_gram / _scale;
+    definiteness and isometry checks run over ``int`` on that pair."""
 
     def __init__(self, gram: Sequence[Sequence]):
         g = mat(gram)
         if not is_symmetric(g):
             raise ValueError("gram matrix must be symmetric")
-        ldl(g)  # raises on non-positive-definite input
+        self._scale, self._int_gram = clear_denominators(g)
+        if not is_positive_definite(self._int_gram):
+            raise ValueError("gram matrix is not positive definite")
         self.gram: Mat = g
 
     @property
@@ -71,7 +76,14 @@ class Lattice:
         return self.inner(x, x)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.gram for e in row)
+        return self._scale == 1
+
+    def preserves_form(self, big_m: linalg.IntMat, s: int = 1) -> bool:
+        """Whether the map M/s preserves the form: M·G·M^T = s^2·G over
+        ``int``, for G the cleared Gram."""
+        g = self._int_gram
+        image = mat_mul(mat_mul(big_m, g), transpose(big_m))
+        return mat_eq(image, g if s == 1 else mat_scale(g, s * s))
 
     def is_even(self) -> bool:
         return self.is_integral() and all(
@@ -159,14 +171,10 @@ class Isometry:
     lattice: Lattice
 
     def __post_init__(self):
-        # With m = M/s and gram = G/t over int, m·gram·m^T = gram is
-        # M·G·M^T = s^2·G.
         m = mat(self.matrix)
         object.__setattr__(self, "matrix", m)
         s, big_m = clear_denominators(m)
-        _, big_g = clear_denominators(self.lattice.gram)
-        image = mat_mul(mat_mul(big_m, big_g), transpose(big_m))
-        if not mat_eq(image, mat_scale(big_g, s * s)):
+        if not self.lattice.preserves_form(big_m, s):
             raise ValueError("matrix does not preserve the gram form")
 
     def is_integral(self) -> bool:
@@ -220,8 +228,7 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     """
     if not lat.is_integral():
         raise ValueError("discriminant group needs an integral lattice")
-    g_int = int_mat(lat.gram)
-    d, u, _ = snf(g_int)
+    d, u, _ = snf(lat._int_gram)
     n = lat.rank
     factors = []
     gens = []
@@ -382,11 +389,12 @@ def tau_isometry(k: int, s: int) -> linalg.IntMat:
 
 
 def quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[int, ...]:
-    """Invariant factors of L/S for a full-rank sublattice S, 1s included."""
-    s = _require_integer_rows(mat(s_rows), "sublattice")
-    if rank(s) != lat.rank:
+    """Invariant factors of L/S for a full-rank sublattice S, 1s included;
+    S has full rank when it has lat.rank nonzero invariant factors."""
+    invs = invariant_factors(_require_integer_rows(mat(s_rows), "sublattice"))
+    if len(invs) != lat.rank:
         raise ValueError("sublattice is not full rank")
-    return invariant_factors(s)
+    return invs
 
 
 def dual_quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[int, ...]:
@@ -394,12 +402,13 @@ def dual_quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[
 
     In L's coordinates S* has basis (G S^T)^{-1} and L* has basis G^{-1},
     so the transition matrix of L* over S* is G^{-1}·(G S^T) = S^T, with
-    no inverse to take; its SNF gives the quotient.
+    no inverse to take; its SNF gives the quotient, and its rank.
     """
-    s = mat(s_rows)
-    if len(s) != lat.rank or rank(s) != lat.rank:
+    s = _require_integer_rows(mat(s_rows), "sublattice")
+    invs = invariant_factors(transpose(s))
+    if len(s) != lat.rank or len(invs) != lat.rank:
         raise ValueError("sublattice basis must be square of full rank")
-    return invariant_factors(transpose(_require_integer_rows(s, "sublattice")))
+    return invs
 
 
 def lattice_intersection(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> Mat:
@@ -424,14 +433,16 @@ def same_lattice(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> bool
 
 
 def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:
-    """Radical of the mod-2p alternating form attached to a fixed-point-free
-    order-p isometry, cross-checked against L intersect (1-nu)L*.
+    """Radical of the mod-2p alternating form attached to an integral,
+    fixed-point-free isometry of order p, for any odd p >= 3 (p need not
+    be prime), cross-checked against L intersect (1-nu)L*.
 
-    The form is C[i][j] = 2 * sum_{m=1}^{p-1} m <nu^m e_i, e_j> mod 2p;
-    its radical is the projection of the integer kernel of [C; 2p*I].
+    The form is C[i][j] = 2 * sum_{m=1}^{p-1} m <nu^m e_i, e_j> mod 2p,
+    accumulated over ``int``; its radical is the projection of the integer
+    kernel of [C; 2p*I].
     """
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        raise ValueError(f"p must be odd and >= 3, got {p}")
     if not lat.is_integral():
         raise ValueError("needs an integral lattice")
     iso = Isometry(mat(nu), lat)
@@ -442,15 +453,15 @@ def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:
     if not iso.is_fixed_point_free():
         raise ValueError("isometry has nonzero fixed points")
     n = lat.rank
-    m = mat(nu)
-    c = [[0] * n for _ in range(n)]
+    m = int_mat(nu)
+    weighted = [[0] * n for _ in range(n)]  # sum_m m·nu^m, mod 2p
     power = m
     for step in range(1, p):
-        pg = mat_mul(power, lat.gram)
-        for i in range(n):
-            for j in range(n):
-                c[i][j] = (c[i][j] + 2 * step * int(pg[i][j])) % (2 * p)
+        for w_row, p_row in zip(weighted, power):
+            for j, e in enumerate(p_row):
+                w_row[j] = (w_row[j] + step * e) % (2 * p)
         power = mat_mul(power, m)
+    c = [[2 * e % (2 * p) for e in row] for row in mat_mul(weighted, lat._int_gram)]
     stacked = tuple(tuple(row) for row in c) + tuple(
         tuple(2 * p if j == i else 0 for j in range(n)) for i in range(n)
     )
@@ -469,7 +480,7 @@ def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:
 def r_cap_p_dual_index(root: Lattice, p: int) -> int:
     """Index of pR inside R intersect pR*, via the SNF of the transition."""
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        raise ValueError(f"p must be odd and >= 3, got {p}")
     n = root.rank
     t_rows = lattice_intersection(
         identity(n), mat_scale(mat_inv(root.gram), p)

@@ -8,10 +8,12 @@ floating point anywhere.
 Each ring has one elimination routine: ``_gauss_jordan`` over Q behind
 ``mat_inv``, ``det``, ``solve_left`` and ``rank``,
 ``_hermite_with_transform`` over Z behind ``hnf`` and ``snf``, and
-``f2_echelon`` over F2.  ``clear_denominators`` takes rational rows to
-integer rows.  F2 rows are packed into ``int``s (bit i is coordinate
-i): ``f2_pack``/``f2_unpack`` convert, ``f2_row_mul`` multiplies a row
-by a matrix with XOR, and ``f2_span`` lists a span in mask order.
+``f2_echelon`` over F2; ``is_positive_definite`` reads leading minors off
+a fraction-free (Bareiss) elimination over Z.  ``clear_denominators``
+takes rational rows to integer rows.  F2 rows are packed into ``int``s
+(bit i is coordinate i): ``f2_pack``/``f2_unpack`` convert,
+``f2_row_mul`` multiplies a row by a matrix with XOR, and ``f2_span``
+lists a span in mask order.
 
 ``enumerate_quadratic`` (behind ``shell_vectors`` and ``coset_minimum``)
 takes the exact LDL^T decomposition over Q, scales its levels, the
@@ -72,7 +74,7 @@ def transpose(m: Sequence[Sequence]) -> tuple:
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_sub(a, b) -> tuple:
@@ -199,6 +201,28 @@ def rank(m: Sequence[Sequence]) -> int:
     return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
 
 
+def is_positive_definite(m: Sequence[Sequence[int]]) -> bool:
+    """Sylvester's criterion for a symmetric integer matrix: every leading
+    principal minor is positive.
+
+    Bareiss's fraction-free elimination (1968) leaves the (k+1)-th leading
+    minor as the k-th pivot, and each of its divisions is exact.  The
+    eliminated matrix stays symmetric, so only the upper triangle is
+    updated and a[i][k] is read as a[k][i].
+    """
+    a = [list(row) for row in m]
+    prev = 1
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = row_k[i]
+            a[i][i:] = [(x * pivot - f * y) // prev for x, y in zip(a[i][i:], row_k[i:])]
+        prev = pivot
+    return True
+
+
 # ---------------------------------------------------------------------------
 # integer normal forms
 
@@ -214,8 +238,9 @@ def hnf(m: Sequence[Sequence[int]]) -> IntMat:
 
 
 def clear_denominators(m: Sequence[Sequence]) -> tuple[int, IntMat]:
-    """(s, s·m) with s the lcm of the denominators of the entries of m."""
-    rows = mat(m)
+    """(s, s·m) with s the lcm of the denominators of the entries of m;
+    ``int`` entries are read as they are."""
+    rows = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows

@@ -160,6 +160,62 @@ def test_lift_validation():
         Lift(lat, eps, coxeter_nu(5), wrong_eta)
 
 
+def _zero_eta(n):
+    return F2QuadraticForm((0,) * n, F2BilinearForm(((0,) * n,) * n))
+
+
+def test_lift_rejects_a_base_that_is_not_an_isometry():
+    lat = sqrt2_a(4)
+    shear = ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="matrix does not preserve the gram form"):
+        lift(shear, lat, standard_epsilon(lat))
+
+
+def test_lift_rejects_a_rational_isometry():
+    # A reflection of (sqrt2 Z)^2 with denominators: an isometry, not integral.
+    lat = Lattice([[2, 0], [0, 2]])
+    eps = standard_epsilon(lat)
+    r = ((Q(3, 5), Q(-4, 5)), (Q(-4, 5), Q(-3, 5)))
+    with pytest.raises(ValueError, match="lift base must be an integral isometry"):
+        Lift(lat, eps, r, _zero_eta(2))
+    # A rational non-isometry fails the form check first.
+    bent = ((Q(4, 5), Q(-4, 5)), r[1])
+    with pytest.raises(ValueError, match="matrix does not preserve the gram form"):
+        Lift(lat, eps, bent, _zero_eta(2))
+
+
+def test_lift_rejects_an_int_non_isometry_with_a_consistent_eta():
+    # M = 1 + 2·E_01 is the identity mod 2, so eps + eps^M vanishes and the
+    # zero eta passes every mod-2 check; only the integer form check fails.
+    lat = root_lattice("A", 4)
+    eps = standard_epsilon(lat)
+    m = ((1, 2, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert b_g_form(eps, m).matrix == _zero_eta(4).polarization.matrix
+    with pytest.raises(ValueError, match="matrix does not preserve the gram form"):
+        Lift(lat, eps, m, _zero_eta(4))
+
+
+def test_composites_have_int_bases_and_are_checked():
+    lat = sqrt2_a(4)
+    eps = standard_epsilon(lat)
+    nu_hat = lift(mat(coxeter_nu(5)), lat, eps, [1, 0, 1, 1])
+    composites = (
+        nu_hat,
+        compose(nu_hat, nu_hat),
+        lift_power(nu_hat, 3),
+        lift_power(nu_hat, -2),
+        lift_inverse(nu_hat),
+    )
+    for lf in composites:
+        assert all(type(e) is int for row in lf.base for e in row)
+    # A composite is validated, not trusted: corrupt one factor's base
+    # behind the constructor's back and composing must fail.
+    bad = lift(coxeter_nu(5), lat, eps)
+    object.__setattr__(bad, "base", ((1, 1, 0, 0),) + bad.base[1:])
+    with pytest.raises(ValueError, match="matrix does not preserve the gram form"):
+        compose(nu_hat, bad)
+
+
 def test_lift_power_sign_basics():
     lat = sqrt2_a(1)
     eps = standard_epsilon(lat)

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+import parafusion.cli as cli_mod
 from parafusion.cli import main
 
 
@@ -398,3 +399,21 @@ def test_level_below_minimum_exit_two(capsys, argv, minimum):
     assert code == 2
     assert out == ""
     assert f"level {argv[2]}: need k >= {minimum}" in err
+
+
+@pytest.mark.parametrize("command", ["lift-order", "quotient"])
+def test_lattice_level_above_maximum_exit_two(capsys, monkeypatch, command):
+    # Nothing may be built: a run that got past parsing would fail here.
+    def refuse(n):
+        raise AssertionError(f"built sqrt2_a({n}) for an out-of-range level")
+
+    monkeypatch.setattr(cli_mod, "sqrt2_a", refuse)
+    code, out, err = run(capsys, command, "-k", "129")
+    assert code == 2
+    assert out == ""
+    assert "level 129: need k <= 128" in err
+    with pytest.raises(SystemExit):
+        cli_mod.build_parser().parse_args([command, "--help"])
+    assert "at most 128" in capsys.readouterr().out
+    args = cli_mod.build_parser().parse_args([command, "-k", "128"])
+    assert args.level == 128

@@ -2,6 +2,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from parafusion.lattices import (
     Isometry,
@@ -91,6 +93,58 @@ def test_lattice_validation():
         Lattice([[0, 0], [0, 0]])  # not positive definite
     with pytest.raises(ValueError):
         Lattice([[1, 0], [0, -1]])
+
+
+# --- definiteness: Bareiss leading minors against the LDL^T oracle --------
+
+small_rationals = st.builds(Q, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices (n <= 4) of small rationals: half with
+    free entries, mostly indefinite, and half B·B^T plus a diagonal shift
+    in {-1, 0, 1}, which are definite, singular semidefinite or indefinite."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        m = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(small_rationals)
+        return m
+    cols = draw(st.integers(1, 4))
+    b = [draw(st.lists(small_rationals, min_size=cols, max_size=cols)) for _ in range(n)]
+    shift = draw(st.integers(-1, 1))
+    return [
+        [sum(x * y for x, y in zip(b[i], b[j])) + (shift if i == j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@given(symmetric_matrices())
+@example([[1, 2], [2, 1]])  # indefinite with a positive diagonal
+@example([[1, 1], [1, 1]])  # singular semidefinite
+@example([[2, 1, 1], [1, 2, 1], [1, 1, 0]])  # last leading minor only
+@example([[2, 2, 0], [2, 2, 0], [0, 0, 1]])  # zero minor mid-way
+def test_lattice_rejects_exactly_what_ldl_rejects(gram):
+    try:
+        linalg.ldl(mat(gram))
+    except ValueError:
+        with pytest.raises(ValueError, match="not positive definite"):
+            Lattice(gram)
+    else:
+        Lattice(gram)
+
+
+def test_lattice_definiteness_fixed_cases():
+    a2_dual = Lattice([[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]])
+    assert a2_dual.det() == Q(1, 3)
+    assert not a2_dual.is_integral()
+    empty = Lattice([])
+    assert (empty.rank, empty.det(), empty.is_integral()) == (0, 1, True)
+    assert linalg.is_positive_definite(int_mat(sqrt2_a(12).gram))
+    assert not linalg.is_positive_definite([[1, 2], [2, 1]])
 
 
 def test_rescale_and_sqrt2():
@@ -299,7 +353,7 @@ def test_weyl_vector_and_pairing_row():
 
 def test_c_nu_radical_is_full_lattice():
     # the mod-2p form degenerates completely: (1-nu)L* contains L
-    for k in (3, 5, 7):
+    for k in (3, 5, 7, 9):  # p = 9 is odd, not prime
         lat = sqrt2_a(k - 1)
         rad = c_nu_radical(lat, coxeter_nu(k), k)
         assert mat_eq(mat(rad), identity(k - 1))
@@ -312,7 +366,7 @@ def test_c_nu_radical_is_full_lattice():
 def test_c_nu_radical_validation():
     lat = sqrt2_a(4)
     nu = coxeter_nu(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must be odd and >= 3, got 4"):
         c_nu_radical(lat, nu, 4)  # even p
     with pytest.raises(ValueError):
         c_nu_radical(lat, nu, 3)  # wrong order
