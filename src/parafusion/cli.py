@@ -174,10 +174,13 @@ def load_code(path: str):
         raise UsageError(f"{path}: {exc}") from None
 
 
-# lift-order builds (k-1)x(k-1) matrices and multiplies them up to k
-# times: 13 s at k = 128 on a 2-core x86 host, so a level past this
-# bound is a usage error rather than a run of minutes or a MemoryError.
-MAX_LATTICE_LEVEL = 128
+# Levels past these bounds are usage errors rather than runs of minutes or
+# a MemoryError.  On a 2-core x86 host: lift-order multiplies (k-1)x(k-1)
+# matrices up to k times, 13 s at k = 128; sigma-check and orbifold-table
+# keep k+2 operators of (k+2)^2 entries, 2.4-5.8 s and up to 266 MB at
+# k = 128; zk-check fuses all O(k^4) label pairs, 17 s at k = 64.
+MAX_LEVEL = 128
+MAX_ZK_LEVEL = 64
 
 
 class _Level(argparse.Action):
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
-    bounds = {2: (2, None), 3: (3, None), "lattice": (3, MAX_LATTICE_LEVEL)}
+    bounds = {2: (2, None), "zk": (2, MAX_ZK_LEVEL), 3: (3, MAX_LEVEL)}
     level = {}
     for key, (lowest, highest) in bounds.items():
         level[key] = p = argparse.ArgumentParser(add_help=False)
@@ -507,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_weights)
 
     p = sub.add_parser(
-        "zk-check", parents=[common, level[2]], help="verify the cyclic grading"
+        "zk-check", parents=[common, level["zk"]], help="verify the cyclic grading"
     )
     p.set_defaults(handler=cmd_zk_check)
 
@@ -539,14 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "quotient",
-        parents=[common, level["lattice"]],
+        parents=[common, level[3]],
         help="quotient invariants for the Coxeter isometry",
     )
     p.set_defaults(handler=cmd_quotient)
 
     p = sub.add_parser(
         "lift-order",
-        parents=[common, level["lattice"]],
+        parents=[common, level[3]],
         help="orders of standard lifts on the rescaled root lattice",
     )
     p.set_defaults(handler=cmd_lift_order)
@@ -576,7 +579,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         ok, payload, lines = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, u5a_mod.GoldenDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .linalg import rank
+from .linalg import hnf
 
 
 class LevelMismatchError(ValueError):
@@ -138,24 +138,23 @@ def _same_level(a: IrrLabel, b: IrrLabel) -> int:
     return a.k
 
 
-def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
-    """Fusion product of two irreducibles as a multiplicity vector.
-
-    The output ranges over r with |i1-i2| <= r <= min(i1+i2, 2k-i1-i2)
-    and r = i1+i2 mod 2; the second index of each term is
-    (2j1-i1+2j2-i2+r)/2 mod k.
-    """
-    k = _same_level(a, b)
-    s = 2 * a.j - a.i + 2 * b.j - b.i
-    lo = abs(a.i - b.i)
-    hi = min(a.i + b.i, 2 * k - a.i - b.i)
-    # The rule is multiplicity-free (distinct r give distinct classes), so
-    # no merging; j >= r is identified as in canonical_label.
-    found = []
-    for r in range(lo, hi + 1, 2):
+def _fusion_rule(i1: int, j1: int, i2: int, j2: int, k: int) -> list[tuple[int, int]]:
+    """Canonical (i, j) terms of M[i1,j1]·M[i2,j2]: truncated Clebsch–Gordan
+    |i1-i2| <= r <= min(i1+i2, 2k-i1-i2), r = i1+i2 mod 2, and the Z_2k
+    charge j = (2j1-i1+2j2-i2+r)/2 mod k, identified as in canonical_label
+    when j >= r.  Multiplicity-free: distinct r give distinct classes."""
+    s = 2 * j1 - i1 + 2 * j2 - i2
+    out = []
+    for r in range(abs(i1 - i2), min(i1 + i2, 2 * k - i1 - i2) + 1, 2):
         j = (s + r) // 2 % k
-        found.append(_canonical(r, j, k) if j < r else _canonical(k - r, j - r, k))
-    found.sort()
+        out.append((r, j) if j < r else (k - r, j - r))
+    return out
+
+
+def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
+    """Fusion product of two irreducibles: ``_fusion_rule`` as labels, in repr order."""
+    k = _same_level(a, b)
+    found = sorted([_canonical(i, j, k) for i, j in _fusion_rule(a.i, a.j, b.i, b.j, k)])
     # From a list, not a generator: a resized tuple's oversize block stays
     # in the free lists and raises peak RSS.
     return FusionVector(tuple([(label, 1) for _, label in found]))
@@ -246,64 +245,68 @@ class Report:
 def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> Report:
     """Exact associativity proof by Light's test (Clifford–Preston I, §1.2).
 
+    ``product(x, y)`` yields the (z, mult) terms of x·y on a hashable basis.
     The g with (x·g)·y = x·(g·y) for all x, y form a subalgebra, so testing
     each generator (failing as ("associativity", x, g, y)) suffices once the
     products kept while independent reach rank n ("generators_span", r, n).
     """
-    unit = {x: FusionVector(((x, 1),)) for x in basis}
+
+    def times(u, v, prod: Callable = product) -> dict:
+        acc: dict = {}  # sum of mx·my·(x·y) over the terms of u and v
+        for x, mx in u:
+            for y, my in v:
+                for z, mz in prod(x, y):
+                    acc[z] = acc.get(z, 0) + mx * my * mz
+        return {z: m for z, m in acc.items() if m}
+
     xg = {(x, g): product(x, g) for g in gens for x in basis}
     gy = {(g, y): product(g, y) for g in gens for y in basis}
     failures = [
         ("associativity", x, g, y)
         for g in gens for x in basis for y in basis
-        if fuse_vectors(xg[x, g], unit[y], product)
-        != fuse_vectors(unit[x], gy[g, y], product)
+        if times(xg[x, g], ((y, 1),)) != times(((x, 1),), gy[g, y])
     ]
-    pivots, reached = [], [unit[g] for g in gens]
+    pivots, reached = [], [{g: 1} for g in gens]
     for v in reached:
-        row = v.as_dict()
+        row = v
         for lab, p, _ in pivots:  # each pivot row is zero at the earlier pivots
             if row.get(lab):
                 c, d = row[lab], p[lab]
                 row = {x: d * row.get(x, 0) - c * p.get(x, 0) for x in row | p}
                 row = {x: m for x, m in row.items() if m}
         if row:
-            pivots.append((next(iter(row)), row, v.as_dict()))
-            reached.extend(
-                fuse_vectors(v, unit[g], lambda x, h: xg[x, h]) for g in gens
-            )
-    r = rank([[w.get(x, 0) for x in basis] for _, _, w in pivots])
+            pivots.append((next(iter(row)), row, v))
+            reached.extend(times(v.items(), ((g, 1),), lambda x, h: xg[x, h]) for g in gens)
+    r = len(hnf([[w.get(x, 0) for x in basis] for _, _, w in pivots]))  # rank over Z
     if r != len(basis):
         failures.append(("generators_span", r, len(basis)))
     return Report(tuple(failures))
 
 
-def verify_zk_grading(
-    k: int, fuse_fn: Callable[[IrrLabel, IrrLabel], FusionVector] = fuse
-) -> Report:
+def verify_zk_grading(k: int, rule: Callable = _fusion_rule) -> Report:
     """Check the additive mod-k grading l_out = l1 + l2 of the fusion product.
 
     Also confirms the label identification (i, l) ~ (k-i, k+l) preserves
-    l mod k, so the grading is well defined on canonical classes.
-    ``fuse_fn`` is injectable so that mutation tests can break it.
+    l mod k, so the grading is well defined on canonical classes.  Runs on
+    (i, j) ints with l = i - 2j mod 2k; ``rule`` is injectable so that
+    mutation tests can break it, and failures are labelled only when found.
     """
+    if k < 2:
+        raise ValueError(f"level must be >= 2, got {k}")
     failures = []
-    labels = all_labels(k)
-    grade = {x: to_tilde(x).l for x in labels}
-    for x in labels:
-        # Both presentations of x must carry the same grade mod k.
-        alt = (k - x.i, (x.j - x.i) % k)
-        l_alt = (alt[0] - 2 * alt[1]) % (2 * k)
-        if (grade[x] - l_alt) % k != 0:
-            failures.append((x, "presentation", grade[x], l_alt))
-    for a in labels:
-        la = grade[a]
-        for b in labels:
-            lb = grade[b]
-            for c, _ in fuse_fn(a, b):
-                lc = grade[c]
-                if (lc - la - lb) % k != 0:
-                    failures.append((a, b, c, lc % k, (la + lb) % k))
+    two_k = 2 * k
+    pairs = [(i, j, (i - 2 * j) % two_k) for i in range(1, k + 1) for j in range(i)]
+    for i, j, l in pairs:
+        # Both presentations of (i, j) must carry the same grade mod k.
+        l_alt = (k - i - 2 * ((j - i) % k)) % two_k
+        if (l - l_alt) % k != 0:
+            failures.append((canonical_label(i, j, k), "presentation", l, l_alt))
+    for i1, j1, l1 in pairs:
+        for i2, j2, l2 in pairs:
+            for i, j in rule(i1, j1, i2, j2, k):
+                if (i - 2 * j - l1 - l2) % k != 0:
+                    a, b, c = (canonical_label(*p, k) for p in ((i1, j1), (i2, j2), (i, j)))
+                    failures.append((a, b, c, (i - 2 * j) % k, (l1 + l2) % k))
     return Report(tuple(failures))
 
 

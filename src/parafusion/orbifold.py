@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable
 
 from .fusion import (
     FusionVector,
@@ -23,7 +21,7 @@ from .fusion import (
     sigma_type_index,
     verify_associativity,
 )
-from .linalg import int_identity, mat_mul, mat_sub, transpose
+from .linalg import int_identity, mat_sub, transpose
 
 Q = Fraction
 
@@ -76,20 +74,13 @@ def sign_character(label: OrbLabel) -> int:
     return -1 if (label.j + label.eps) % 2 else 1
 
 
-def generator_fuse(gen: OrbLabel, x: OrbLabel) -> FusionVector:
-    """Product of a generator (0,1) or (1,0) with any basis label.
-
-    These two rows are the seed data; everything else is derived.
-    """
-    k = gen.k
-    if k != x.k:
-        raise ValueError(f"levels differ: {gen.k} vs {x.k}")
-    top = k // 2
-    if (gen.j, gen.eps) == (0, 1):
-        return FusionVector.from_pairs([(OrbLabel(x.j, 1 - x.eps, k), 1)])
-    if (gen.j, gen.eps) != (1, 0):
-        raise ValueError(f"{gen} is not a generator; use (0,1) or (1,0)")
-    j = x.j
+def _generator_cell(g: int, y: int, k: int) -> tuple:
+    """Terms (index, 1) of W[0,1] (g = 1) or W[1,0] (g = 2) times the basis
+    index y = 2j + eps, in index order.  These two rows are the seed data;
+    everything else is derived."""
+    if g == 1:
+        return ((y ^ 1, 1),)
+    j, top = y // 2, k // 2
     if j == 0:
         outs = [(1, 0)]
     elif j <= top - 1:
@@ -98,33 +89,39 @@ def generator_fuse(gen: OrbLabel, x: OrbLabel) -> FusionVector:
         outs = [(j - 1, 0), (j, 1)]
     else:  # j == k/2, even level
         outs = [(j - 1, 0)]
-    shift = x.eps
-    return FusionVector.from_pairs(
-        [(OrbLabel(jj, (ee + shift) % 2, k), 1) for jj, ee in outs]
-    )
+    return tuple((2 * jj + (ee + y) % 2, 1) for jj, ee in outs)
+
+
+def generator_fuse(gen: OrbLabel, x: OrbLabel) -> FusionVector:
+    """Product of a generator (0,1) or (1,0) with any basis label."""
+    if gen.k != x.k:
+        raise ValueError(f"levels differ: {gen.k} vs {x.k}")
+    if (gen.j, gen.eps) not in ((0, 1), (1, 0)):
+        raise ValueError(f"{gen} is not a generator; use (0,1) or (1,0)")
+    cell = _generator_cell(2 * gen.j + gen.eps, 2 * x.j + x.eps, x.k)
+    return FusionVector.from_pairs((OrbLabel(z // 2, z % 2, x.k), m) for z, m in cell)
 
 
 class OrbifoldTable:
-    """Full multiplication table over the orbifold basis at level k."""
+    """Multiplication table at level k on the basis indices 2j + eps: cells[x][y]
+    holds the nonzero (index, mult) terms of x·y, in index order."""
 
-    def __init__(self, k: int, products: dict):
+    def __init__(self, k: int, cells):
         self.k = k
         self.basis = orbifold_basis(k)
-        self._products = products
+        self.cells = cells
 
     def product(self, x: OrbLabel, y: OrbLabel) -> FusionVector:
-        return self._products[(x, y)]
+        cell = self.cells[2 * x.j + x.eps][2 * y.j + y.eps]
+        return FusionVector.from_pairs((self.basis[z], m) for z, m in cell)
 
 
-def _operator(
-    basis: list[OrbLabel], row: Callable[[OrbLabel], FusionVector]
-) -> tuple:
-    """Matrix of y -> row(y) on the basis; column y holds its coordinates."""
-    idx = {lab: t for t, lab in enumerate(basis)}
-    m = [[0] * len(basis) for _ in basis]
-    for y in basis:
-        for z, mult in row(y):
-            m[idx[z]][idx[y]] = mult
+def _operator(row) -> tuple:
+    """Matrix whose column y holds the coordinates of the cell row[y]."""
+    m = [[0] * len(row) for _ in row]
+    for y, cell in enumerate(row):
+        for z, mult in cell:
+            m[z][y] = mult
     return tuple(tuple(r) for r in m)
 
 
@@ -146,31 +143,20 @@ def derive_full_table(k: int) -> OrbifoldTable:
     then run ``verify_table`` on it.
 
     Multiplication operators act on the basis; columns hold the product
-    coordinates.  The (1,0) row at 1 <= j <= top-1 is solved for the
-    operator of (j+1, 0), and (0,1) shifts eps.
+    coordinates, which become the cells.  The (1,0) row at
+    1 <= j <= top-1 is solved for the operator of (j+1, 0), and (0,1)
+    shifts eps.
     """
-    basis = orbifold_basis(k)
-    n = len(basis)
-    top = k // 2
-    a1 = _operator(basis, partial(generator_fuse, OrbLabel(0, 1, k)))
-    a2 = _operator(basis, partial(generator_fuse, OrbLabel(1, 0, k)))
-    ops = {
-        OrbLabel(0, 0, k): int_identity(n),
-        OrbLabel(0, 1, k): a1,
-        OrbLabel(1, 0, k): a2,
-        OrbLabel(1, 1, k): _sparse_mul(a1, a2),
-    }
-    for j in range(1, top):
-        prev, cur = ops[OrbLabel(j - 1, 0, k)], ops[OrbLabel(j, 0, k)]
+    n = len(orbifold_basis(k))  # raises for k < 3
+    a1, a2 = (_operator([_generator_cell(g, y, k) for y in range(n)]) for g in (1, 2))
+    ops = [int_identity(n), a1, a2, _sparse_mul(a1, a2)]  # ops[2j + eps]
+    for j in range(1, k // 2):
+        prev, cur = ops[2 * j - 2], ops[2 * j]
         nxt = mat_sub(mat_sub(_sparse_mul(a2, cur), prev), _sparse_mul(a1, cur))
-        ops[OrbLabel(j + 1, 0, k)] = nxt
-        ops[OrbLabel(j + 1, 1, k)] = _sparse_mul(a1, nxt)
-
-    products = {}
-    for x in basis:
-        for y, column in zip(basis, transpose(ops[x])):
-            products[(x, y)] = FusionVector.from_pairs(zip(basis, column))
-    table = OrbifoldTable(k, products)
+        ops += [nxt, _sparse_mul(a1, nxt)]
+    cells = [[tuple([(z, m) for z, m in enumerate(col) if m]) for col in transpose(op)]
+             for op in ops]
+    table = OrbifoldTable(k, cells)
     report = verify_table(table)
     if not report.passed:
         raise AssertionError(
@@ -181,44 +167,49 @@ def derive_full_table(k: int) -> OrbifoldTable:
 
 def verify_table(table: OrbifoldTable) -> Report:
     """Run every internal self-check on a derived table."""
-    k = table.k
-    basis = table.basis
+    cells, basis = table.cells, table.basis
+    n = len(basis)
     failures = []
 
-    gens = (OrbLabel(0, 1, k), OrbLabel(1, 0, k))
-    a1, a2 = (_operator(basis, partial(table.product, gen)) for gen in gens)
-    if mat_mul(a1, a2) != mat_mul(a2, a1):
+    a1, a2 = _operator(cells[1]), _operator(cells[2])  # W[0,1], W[1,0]
+    if _sparse_mul(a1, a2) != _sparse_mul(a2, a1):
         failures.append(("generator_commutation",))
 
-    for x in basis:
-        for y in basis:
-            vec = table.product(x, y)
-            if any(m < 0 for _, m in vec):
-                failures.append(("nonnegativity", x, y, vec))
-            if vec != table.product(y, x):
-                failures.append(("symmetry", x, y))
-        ident = table.product(OrbLabel(0, 0, k), x)
-        if ident.as_dict() != {x: 1}:
-            failures.append(("identity", x, ident))
+    for x in range(n):
+        for y in range(n):
+            cell = cells[x][y]
+            if any(m < 0 for _, m in cell):
+                vec = FusionVector(tuple((basis[z], m) for z, m in cell))
+                failures.append(("nonnegativity", basis[x], basis[y], vec))
+            if cell != cells[y][x]:
+                failures.append(("symmetry", basis[x], basis[y]))
+        if cells[0][x] != ((x, 1),):
+            failures.append(("identity", basis[x], table.product(basis[0], basis[x])))
 
-    for gen in gens:
-        for y in basis:
-            if table.product(gen, y) != generator_fuse(gen, y):
-                failures.append(("generator_row", gen, y))
+    for g in (1, 2):
+        for y in range(n):
+            if cells[g][y] != _generator_cell(g, y, table.k):
+                failures.append(("generator_row", basis[g], basis[y]))
 
     failures.extend(verify_sigma_grading(table).failures)
-    failures.extend(verify_associativity(basis, table.product, gens).failures)
+    light = verify_associativity(range(n), lambda x, y: cells[x][y], (1, 2))
+    failures.extend(
+        (f[0], *(basis[t] for t in f[1:])) if f[0] == "associativity" else f
+        for f in light.failures
+    )
     return Report(tuple(failures))
 
 
 def verify_sigma_grading(table: OrbifoldTable) -> Report:
     """Check the sign character multiplies along every nonzero product."""
+    basis = table.basis
+    sign = [sign_character(x) for x in basis]
     failures = []
-    for x in table.basis:
-        for y in table.basis:
-            for z, m in table.product(x, y):
-                if m and sign_character(x) * sign_character(y) != sign_character(z):
-                    failures.append(("sign_grading", x, y, z))
+    for x, row in enumerate(table.cells):
+        for y, cell in enumerate(row):
+            for z, m in cell:
+                if m and sign[x] * sign[y] != sign[z]:
+                    failures.append(("sign_grading", basis[x], basis[y], basis[z]))
     return Report(tuple(failures))
 
 
@@ -243,21 +234,25 @@ def verify_collapse(table: OrbifoldTable) -> Report:
         x = sigma_label(j1, k)
         for j2 in range(top + 1):
             y = sigma_label(j2, k)
-            expected: dict[OrbLabel, int] = {}
+            expected: dict[int, int] = {}
             for lab, m in fuse(x, y):
                 if not is_sigma_type(lab):
                     failures.append(("non_sigma_output", x, y, lab))
                     continue
                 w = sigma_type_index(lab)
                 for e in (0, 1):
-                    key = OrbLabel(w, e, k)
-                    expected[key] = expected.get(key, 0) + m
+                    expected[2 * w + e] = expected.get(2 * w + e, 0) + m
             for e1 in (0, 1):
-                left = OrbLabel(j1, e1, k)
-                got = (
-                    table.product(left, OrbLabel(j2, 0, k))
-                    + table.product(left, OrbLabel(j2, 1, k))
-                )
-                if got.as_dict() != expected:
-                    failures.append(("collapse", left, j2, got, expected))
+                got: dict[int, int] = {}
+                row = table.cells[2 * j1 + e1]
+                for z, m in row[2 * j2] + row[2 * j2 + 1]:
+                    got[z] = got.get(z, 0) + m
+                if got != expected:
+                    left = OrbLabel(j1, e1, k)
+                    failures.append((
+                        "collapse", left, j2,
+                        table.product(left, OrbLabel(j2, 0, k))
+                        + table.product(left, OrbLabel(j2, 1, k)),
+                        {table.basis[z]: m for z, m in expected.items()},
+                    ))
     return Report(tuple(failures))

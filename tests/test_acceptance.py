@@ -24,6 +24,7 @@ from parafusion.central import (
 )
 from parafusion.fusion import (
     FusionVector,
+    _fusion_rule,
     all_labels,
     canonical_label,
     fuse,
@@ -117,16 +118,15 @@ def test_criterion_02_cyclic_grading():
     k = 5
     target = (canonical_label(1, 0, k), canonical_label(2, 0, k))
 
-    def mutant(a, b):
-        out = fuse(a, b)
-        if {a, b} == set(target):
-            pairs = list(out)
-            lab, m = pairs[0]
-            bad = canonical_label(lab.i, lab.j + 1, k)
-            return FusionVector.from_pairs([(bad, m)] + pairs[1:])
+    def mutant(i1, j1, i2, j2, level):
+        out = _fusion_rule(i1, j1, i2, j2, level)
+        if {(i1, j1), (i2, j2)} == {(x.i, x.j) for x in target}:
+            (i, j), *rest = out
+            bad = canonical_label(i, j + 1, level)
+            return [(bad.i, bad.j)] + rest
         return out
 
-    mutated = verify_zk_grading(k, fuse_fn=mutant)
+    mutated = verify_zk_grading(k, rule=mutant)
     assert not mutated.passed
     print("criterion 2: PASS — grading holds for k=2..12; mutation detected")
 

@@ -1,4 +1,5 @@
 """Command-line interface: output formats and exit-code contract."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -417,3 +418,97 @@ def test_lattice_level_above_maximum_exit_two(capsys, monkeypatch, command):
     assert "at most 128" in capsys.readouterr().out
     args = cli_mod.build_parser().parse_args([command, "-k", "128"])
     assert args.level == 128
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["orbifold-table", "-k", "20"],
+         "f6d6342add383660d37d941c3d84a213aee66a1a09ee4c1f98df26c4940f9966"),
+        (["orbifold-table", "-k", "20", "--format", "json"],
+         "cec008daa88ec3fb63e814439beb88c341ffc1a2622dceb2f751f96ca8299489"),
+        (["orbifold-table", "-k", "21"],
+         "8f0fe8a0bdd4e4ea51867553644e934545ff38a766e618513cc3505365f351a6"),
+        (["orbifold-table", "-k", "21", "--format", "json"],
+         "222249b98685e0dc32dae33108cc38eda05c171fd00a2bda2cf6c4b1f7fa5d5a"),
+        (["sigma-check", "-k", "24", "--format", "json"],
+         "139486b6857b79a4acba9d0e2ddc00280f1cb98d42cadab9ebe403ad02a69857"),
+        (["zk-check", "-k", "20", "--format", "json"],
+         "64c974ba772dcdc7c580ce5e9beafde22f58beb5ed03592f54326b3a82a80cf9"),
+    ],
+)
+def test_output_bytes_pinned_where_repr_order_differs_from_index_order(capsys, argv, digest):
+    # Terms print in repr order: at k >= 20, W[10,0] sorts before W[8,0]
+    # and M[10,.] before M[2,.], unlike the integer order of the basis.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, cap",
+    [("zk-check", cli_mod.MAX_ZK_LEVEL), ("orbifold-table", cli_mod.MAX_LEVEL),
+     ("sigma-check", cli_mod.MAX_LEVEL)],
+)
+def test_ring_level_cap_by_parsing_only(capsys, command, cap):
+    assert cap >= {"zk-check": 32, "orbifold-table": 64, "sigma-check": 64}[command]
+    args = cli_mod.build_parser().parse_args([command, "-k", str(cap)])
+    assert args.level == cap
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.build_parser().parse_args([command, "-k", str(cap + 1)])
+    assert exc.value.code == 2
+    assert f"level {cap + 1}: need k <= {cap}" in capsys.readouterr().err
+
+
+def golden_dir_with(tmp_path, name, edit):
+    """A copy of the u5a golden files in which ``edit`` rewrites ``name``."""
+    for f in ("u5a_orbits.json", "u5a_weights.json", "u5a_fusion.json"):
+        data = resources.files("parafusion").joinpath(f"golden/{f}").read_text()
+        (tmp_path / f).write_text(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return tmp_path
+
+
+@pytest.mark.parametrize("action", ["verify", "table"])
+def test_u5a_missing_golden_dir_exit_two(capsys, tmp_path, action):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "u5a", action, "--golden-dir", str(missing))
+    assert code == 2
+    assert out == ""
+    assert f"{missing / 'u5a_orbits.json'}:" in err
+
+
+def test_u5a_fusion_table_not_a_list_exit_two(capsys, tmp_path):
+    golden = golden_dir_with(tmp_path, "u5a_fusion.json", lambda p: {"table": 5})
+    code, out, err = run(capsys, "u5a", "verify", "--golden-dir", str(golden))
+    assert code == 2
+    assert out == ""
+    assert f"{golden / 'u5a_fusion.json'}:" in err
+
+
+def test_u5a_one_orbit_row_exit_two(capsys, tmp_path):
+    golden = golden_dir_with(
+        tmp_path, "u5a_orbits.json", lambda p: {**p, "rows": p["rows"][:1]}
+    )
+    code, out, err = run(capsys, "u5a", "verify", "--golden-dir", str(golden))
+    assert code == 2
+    assert out == ""
+    assert f"{golden / 'u5a_orbits.json'}: ValueError: expected 9 entries, got 1" in err
+
+
+def test_u5a_rows_that_are_not_orbits_are_reported(capsys, tmp_path):
+    def swap(payload):
+        rows = payload["rows"]
+        rows[1][1], rows[2][1] = rows[2][1], rows[1][1]
+        return payload
+
+    golden = golden_dir_with(tmp_path, "u5a_orbits.json", swap)
+    code, out, _ = run(
+        capsys, "u5a", "verify", "--golden-dir", str(golden), "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["failures"][0].startswith("('orbit_partition', ")
+    assert "('induction', [5,0;4,2])" in payload["failures"]

@@ -12,6 +12,7 @@ from parafusion.fusion import (
     IrrLabel,
     LevelMismatchError,
     _canonical,
+    _fusion_rule,
     all_labels,
     canonical_label,
     conformal_weight,
@@ -350,20 +351,25 @@ def test_zk_grading_passes():
         assert report.passed, report.failures[:3]
 
 
+def test_zk_grading_rejects_levels_below_two():
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="level must be >= 2"):
+            verify_zk_grading(k)
+
+
 def test_zk_grading_catches_mutation():
     k = 5
     target = (canonical_label(1, 0, k), canonical_label(2, 0, k))
 
-    def mutant(a, b):
-        out = fuse(a, b)
-        if {a, b} == set(target):
-            pairs = list(out)
-            lab, m = pairs[0]
-            bad = canonical_label(lab.i, lab.j + 1, k)
-            return FusionVector.from_pairs([(bad, m)] + pairs[1:])
+    def mutant(i1, j1, i2, j2, level):
+        out = _fusion_rule(i1, j1, i2, j2, level)
+        if {(i1, j1), (i2, j2)} == {(x.i, x.j) for x in target}:
+            (i, j), *rest = out
+            bad = canonical_label(i, j + 1, level)
+            return [(bad.i, bad.j)] + rest
         return out
 
-    report = verify_zk_grading(k, fuse_fn=mutant)
+    report = verify_zk_grading(k, rule=mutant)
     assert not report.passed
     assert report.failures
 

@@ -1,6 +1,5 @@
 """Orbifold ring: basis, weights, seeded products, derived tables."""
 from fractions import Fraction as Q
-from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,7 +15,6 @@ from parafusion.linalg import int_identity, mat_mul, mat_sub, transpose
 from parafusion.orbifold import (
     OrbifoldTable,
     OrbLabel,
-    _operator,
     derive_full_table,
     generator_fuse,
     orbifold_basis,
@@ -26,6 +24,15 @@ from parafusion.orbifold import (
     verify_sigma_grading,
     verify_table,
 )
+
+
+def table_from_products(k, products):
+    """An OrbifoldTable whose cells hold the label products ``products``."""
+    basis = orbifold_basis(k)
+    return OrbifoldTable(k, [
+        [tuple(sorted((2 * z.j + z.eps, m) for z, m in products[x, y])) for y in basis]
+        for x in basis
+    ])
 
 
 def test_basis_size_and_validation():
@@ -133,7 +140,7 @@ def test_collapse_catches_a_cell_moved_in_j():
     products[(x, x)] = FusionVector.from_pairs(
         [(OrbLabel(0, 0, k), 1), (OrbLabel(1, 1, k), 1), (OrbLabel(1, 0, k), 1)]
     )
-    broken = OrbifoldTable(k, products)
+    broken = table_from_products(k, products)
 
     def eps_sum(t):
         return t.product(x, OrbLabel(1, 0, k)) + t.product(x, OrbLabel(1, 1, k))
@@ -176,7 +183,7 @@ def test_sign_violation_reported_by_both_verifiers():
     products = {(x, y): table.product(x, y) for x in table.basis for y in table.basis}
     x, y = OrbLabel(1, 0, k), OrbLabel(0, 0, k)
     products[(x, y)] = FusionVector.from_pairs([(OrbLabel(1, 1, k), 1)])
-    broken = OrbifoldTable(k, products)
+    broken = table_from_products(k, products)
     expected = ("sign_grading", x, y, OrbLabel(1, 1, k))
     assert verify_sigma_grading(broken).failures == (expected,)
     report = verify_table(broken)
@@ -213,7 +220,7 @@ def bump_cell(table, x, y):
     products = {(a, b): table.product(a, b) for a in table.basis for b in table.basis}
     first, _ = products[(x, y)].terms[0]
     products[(x, y)] = products[(y, x)] = products[(x, y)] + FusionVector(((first, 1),))
-    return OrbifoldTable(table.k, products)
+    return table_from_products(table.k, products)
 
 
 def test_light_test_catches_every_mutated_cell_off_the_generators():
@@ -256,8 +263,16 @@ def dense_derivation(k):
     """Test oracle: derive_full_table's operator recursion with dense
     linalg.mat_mul products, as the products of an OrbifoldTable."""
     basis = orbifold_basis(k)
-    a1 = _operator(basis, partial(generator_fuse, OrbLabel(0, 1, k)))
-    a2 = _operator(basis, partial(generator_fuse, OrbLabel(1, 0, k)))
+    idx = {lab: t for t, lab in enumerate(basis)}
+
+    def operator(gen):
+        m = [[0] * len(basis) for _ in basis]
+        for y in basis:
+            for z, mult in generator_fuse(gen, y):
+                m[idx[z]][idx[y]] = mult
+        return m
+
+    a1, a2 = operator(OrbLabel(0, 1, k)), operator(OrbLabel(1, 0, k))
     ops = {(0, 0): int_identity(len(basis)), (0, 1): a1, (1, 0): a2, (1, 1): mat_mul(a1, a2)}
     for j in range(1, k // 2):
         nxt = mat_sub(
