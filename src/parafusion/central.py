@@ -182,12 +182,13 @@ def b_g_form(eps: F2BilinearForm, g_matrix: Sequence[Sequence]) -> F2BilinearFor
 @dataclass(frozen=True)
 class Lift:
     """Lift (g, eta) of an isometry g to the central extension; the base
-    is given as exact rows and stored as ``int`` rows."""
+    is given as exact rows and stored as ``int`` rows, and packed mod 2."""
 
     lattice: Lattice
     eps: F2BilinearForm
     base: IntMat
     eta: F2QuadraticForm
+    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Every lift, composites included, is checked in full, over int.
@@ -197,6 +198,7 @@ class Lift:
         if s != 1:
             raise ValueError("lift base must be an integral isometry")
         object.__setattr__(self, "base", m)
+        object.__setattr__(self, "_rows", tuple(map(f2_pack, m)))
         expected = b_g_form(self.eps, m)
         if self.eta.polarization.matrix != expected.matrix:
             raise ValueError("eta polarization must equal eps + eps^g")
@@ -231,12 +233,11 @@ def lift_power_sign(lf: Lift, alpha: Sequence, n: int) -> int:
     sum of eta over the g-orbit prefix of alpha."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gbar = [f2_pack(r) for r in lf.base]
     x = f2_pack(alpha)
     total = 0
     for _ in range(n):
         total += lf.eta._packed_value(x)
-        x = f2_row_mul(x, gbar)
+        x = f2_row_mul(x, lf._rows)
     return total % 2
 
 
@@ -244,12 +245,11 @@ def lift_power_sign_even_form(lf: Lift, alpha: Sequence, n: int) -> int:
     """Even-n closed form: eta(sum of the orbit) + <alpha, g^{n/2} alpha> mod 2."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"n must be even and >= 2, got {n}")
-    gbar = [f2_pack(r) for r in lf.base]
     x = f2_pack(alpha)
     acc = 0
     for _ in range(n):
         acc ^= x
-        x = f2_row_mul(x, gbar)
+        x = f2_row_mul(x, lf._rows)
     half = mat_pow(lf.base, n // 2)
     a = vec(alpha)
     pair = lf.lattice.inner(a, row_mul(a, half))

@@ -67,7 +67,7 @@ class Lattice:
         return len(self.gram)
 
     def det(self) -> Fraction:
-        return det(self.gram)
+        return det(self._int_gram) / self._scale**self.rank
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
         return dot(row_mul(vec(x), self.gram), vec(y))

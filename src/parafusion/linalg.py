@@ -5,15 +5,16 @@ Everything operates on immutable tuples of tuples; entries are
 routines: Hermite and Smith normal forms, saturated kernels).  No
 floating point anywhere.
 
-Each ring has one elimination routine: ``_gauss_jordan`` over Q behind
-``mat_inv``, ``det``, ``solve_left`` and ``rank``,
-``_hermite_with_transform`` over Z behind ``hnf`` and ``snf``, and
-``f2_echelon`` over F2; ``is_positive_definite`` reads leading minors off
-a fraction-free (Bareiss) elimination over Z.  ``clear_denominators``
-takes rational rows to integer rows.  F2 rows are packed into ``int``s
-(bit i is coordinate i): ``f2_pack``/``f2_unpack`` convert,
-``f2_row_mul`` multiplies a row by a matrix with XOR, and ``f2_span``
-lists a span in mask order.
+The rational routines run on one integer kernel: ``clear_denominators``
+scales rational rows to integer rows once, ``mat_mul`` and ``row_mul``
+multiply the cleared operands over ``int`` (``int`` operands give ``int``
+entries, any other one ``Fraction`` per entry), and ``mat_inv``, ``det``,
+``solve_left`` and ``rank`` read off ``_gauss_jordan``, a fraction-free
+(Bareiss) elimination over Z, as ``is_positive_definite`` does.  Z's
+other elimination is ``_hermite_with_transform`` (``hnf``, ``snf``); F2
+has ``f2_echelon``, on rows packed into ``int``s (bit i is coordinate i)
+by ``f2_pack``, with ``f2_unpack``, the XOR product ``f2_row_mul`` and
+``f2_span`` (in mask order).
 
 ``enumerate_quadratic`` (behind ``shell_vectors`` and ``coset_minimum``)
 takes the exact LDL^T decomposition over Q, scales its levels, the
@@ -72,7 +73,15 @@ def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(zip(*m)) if m else ()
 
 
+def _is_int_mat(m: Sequence[Sequence]) -> bool:
+    return {type(x) for row in m for x in row} <= {int}
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    """a·b; unless both are ``int``, run over ``int`` on the cleared operands."""
+    if not (_is_int_mat(a) and _is_int_mat(b)):
+        (sa, a), (sb, b) = clear_denominators(a), clear_denominators(b)
+        return tuple(tuple(Fraction(x, sa * sb) for x in row) for row in mat_mul(a, b))
     bt = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
@@ -86,8 +95,8 @@ def mat_scale(a, c) -> tuple:
 
 
 def row_mul(x: Sequence, m: Sequence[Sequence]) -> tuple:
-    """Row vector times matrix."""
-    return tuple(sum(xi * m[i][j] for i, xi in enumerate(x)) for j in range(len(m[0])))
+    """Row vector times matrix, typed as ``mat_mul``."""
+    return mat_mul((x,), m)[0]
 
 
 def dot(x: Sequence, y: Sequence):
@@ -111,8 +120,7 @@ def mat_pow(m: Mat, e: int) -> Mat:
     """m^e; a matrix of ``int``s stays ``int`` for e >= 0."""
     if e < 0:
         return mat_pow(mat_inv(m), -e)
-    integral = all(type(x) is int for row in m for x in row)
-    result = int_identity(len(m)) if integral else identity(len(m))
+    result = int_identity(len(m)) if _is_int_mat(m) else identity(len(m))
     base = m
     while e:
         if e & 1:
@@ -123,54 +131,55 @@ def mat_pow(m: Mat, e: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination over Q
+# fraction-free Gauss-Jordan elimination over Z
 
 
-def _gauss_jordan(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
-    """Reduce ``rows`` in place to reduced row echelon form on the first
-    ``ncols`` columns; any later columns ride along.
+def _gauss_jordan(rows: list[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan on the integer ``rows``, in
+    place, on the first ``ncols`` columns; later columns ride along.
 
-    Returns the pivot columns in order and the signed product of the
-    pivots, which is the determinant when the first ``ncols`` columns
-    form a nonsingular square matrix.
+    At each pivot p every other row becomes (p·row − f·pivot_row) // prev,
+    f its pivot-column entry and prev the previous pivot; each division is
+    exact, and each row ends as the last pivot times the row a rational
+    elimination leaves.  Returns the pivot columns and the signed last
+    pivot: the determinant, when those columns are square and nonsingular.
     """
     pivots: list[int] = []
-    pivot_product = Fraction(1)
-    r = 0
+    prev, sign = 1, 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            pivot_product = -pivot_product
-        pivot_product *= rows[r][c]
-        inv_p = 1 / rows[r][c]
-        rows[r] = [x * inv_p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            sign = -sign
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
         pivots.append(c)
-        r += 1
-    return pivots, pivot_product
+    return pivots, sign * prev
 
 
 def mat_inv(m: Sequence[Sequence]) -> Mat:
-    """Inverse by Gauss-Jordan elimination; raises on a singular matrix."""
+    """Inverse by elimination on [s·m | I]; raises on a singular matrix."""
     n = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
+    s, big_m = clear_denominators(m)
+    aug = [row + e for row, e in zip(big_m, int_identity(n))]
     pivots, _ = _gauss_jordan(aug, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(Fraction(s * x, r[i]) for x in r[n:]) for i, r in enumerate(aug))
 
 
 def det(m: Sequence[Sequence]) -> Fraction:
-    n = len(m)
-    pivots, pivot_product = _gauss_jordan([list(map(Fraction, row)) for row in m], n)
-    return pivot_product if len(pivots) == n else Fraction(0)
+    s, big_m = clear_denominators(m)
+    pivots, d = _gauss_jordan(list(big_m), len(m))
+    return Fraction(d, s ** len(m)) if len(pivots) == len(m) else Fraction(0)
 
 
 def solve_left(basis: Sequence[Sequence], target: Sequence) -> Vec | None:
@@ -181,24 +190,24 @@ def solve_left(basis: Sequence[Sequence], target: Sequence) -> Vec | None:
     rows = len(basis)
     cols = len(basis[0]) if rows else len(target)
     # Eliminate on the transposed system (cols x rows | target).
-    aug = [[Fraction(basis[r][c]) for r in range(rows)] + [Fraction(target[c])]
-           for c in range(cols)]
+    system = ([basis[r][c] for r in range(rows)] + [target[c]] for c in range(cols))
+    aug = list(clear_denominators(system)[1])
     pivots, _ = _gauss_jordan(aug, rows)
     # Inconsistency: a cleared row with nonzero rhs.
     if any(aug[r][rows] != 0 for r in range(len(pivots), cols)):
         return None
     y = [Fraction(0)] * rows
     for r, c in enumerate(pivots):
-        y[c] = aug[r][rows]
+        y[c] = Fraction(aug[r][rows], aug[r][c])
     # Independent basis rows assumed; verify to be safe.
-    if tuple(row_mul(y, mat(basis))) != tuple(Fraction(t) for t in target):
+    if row_mul(y, basis) != tuple(Fraction(t) for t in target):
         return None
     return tuple(y)
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    work = [list(map(Fraction, row)) for row in m]
-    return len(_gauss_jordan(work, len(work[0]) if work else 0)[0])
+    _, big_m = clear_denominators(m)
+    return len(_gauss_jordan(list(big_m), len(big_m[0]) if big_m else 0)[0])
 
 
 def is_positive_definite(m: Sequence[Sequence[int]]) -> bool:
@@ -239,8 +248,8 @@ def hnf(m: Sequence[Sequence[int]]) -> IntMat:
 
 def clear_denominators(m: Sequence[Sequence]) -> tuple[int, IntMat]:
     """(s, s·m) with s the lcm of the denominators of the entries of m;
-    ``int`` entries are read as they are."""
-    rows = [[x if type(x) is int else Fraction(x) for x in row] for row in m]
+    ``int`` and ``Fraction`` entries are read as they are."""
+    rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in m]
     scale = lcm(*(x.denominator for row in rows for x in row))
     return scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows

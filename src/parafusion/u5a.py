@@ -137,9 +137,15 @@ def golden_rows(golden_dir: Optional[str] = None) -> tuple:
     ))
 
 
+def _weight_row(w, d) -> tuple:
+    if type(w) in (int, str) and type(d) is int:
+        return Q(w), d
+    raise ValueError(f"expected an int or str weight and an int dimension: {w!r}, {d!r}")
+
+
 def golden_weight_table(golden_dir: Optional[str] = None) -> tuple:
     return _load_golden("u5a_weights.json", golden_dir, lambda p: _nine(
-        (Q(w), int(d)) for w, d in zip(p["weights"], p["dimensions"], strict=True)
+        _weight_row(w, d) for w, d in zip(p["weights"], p["dimensions"], strict=True)
     ))
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parafusion import central
 from parafusion.central import (
     F2BilinearForm,
     F2QuadraticForm,
@@ -256,6 +257,21 @@ def test_lift_order_of_nu_hat():
         lat = root_lattice("A", k - 1)
         lf = lift(coxeter_nu(k), lat, standard_epsilon(lat))
         assert lift_order(lf) == k
+
+
+def test_lift_order_packs_only_the_basis_vectors(monkeypatch):
+    # The base rows are packed once, when the lift is built; lift_order
+    # then packs each basis vector it follows and nothing else.
+    k = 13
+    lat = sqrt2_a(k - 1)
+    lf = lift(coxeter_nu(k), lat, standard_epsilon(lat))
+    packed = []
+    real_pack = central.f2_pack
+    monkeypatch.setattr(
+        central, "f2_pack", lambda bits: packed.append(bits) or real_pack(bits)
+    )
+    assert lift_order(lf) == k
+    assert len(packed) == k - 1
 
 
 def test_theta_lift_order_two():

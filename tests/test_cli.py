@@ -497,6 +497,24 @@ def test_u5a_one_orbit_row_exit_two(capsys, tmp_path):
     assert f"{golden / 'u5a_orbits.json'}: ValueError: expected 9 entries, got 1" in err
 
 
+@pytest.mark.parametrize(
+    "field, index, value",
+    [("dimensions", 0, 1.9), ("dimensions", 3, True), ("weights", 1, 0.5)],
+)
+def test_u5a_non_integer_dimension_or_float_weight_exit_two(
+    capsys, tmp_path, field, index, value
+):
+    def edit(payload):
+        payload[field][index] = value
+        return payload
+
+    golden = golden_dir_with(tmp_path, "u5a_weights.json", edit)
+    code, out, err = run(capsys, "u5a", "verify", "--golden-dir", str(golden))
+    assert code == 2
+    assert out == ""
+    assert f"{golden / 'u5a_weights.json'}: ValueError: expected an int or str weight" in err
+
+
 def test_u5a_rows_that_are_not_orbits_are_reported(capsys, tmp_path):
     def swap(payload):
         rows = payload["rows"]

@@ -3,7 +3,10 @@
 Each property checks a kernel against a route that does not share its
 elimination: the Leibniz expansion for determinants, direct products for
 inverses and solutions, the Smith route for ranks, and a brute-force
-search of a bounding box for the quadratic-form enumerator.
+search of a bounding box for the quadratic-form enumerator.  The integer
+kernel under the rational routines is also checked against the
+``Fraction`` routes it replaced: sum-of-products matrix products and a
+``Fraction`` Gauss-Jordan elimination, kept here as oracles.
 """
 from fractions import Fraction as Q
 from itertools import permutations, product
@@ -13,7 +16,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from parafusion.codes import ambient_lattice, build_lattice, builtin_code
+from parafusion.lattices import Lattice, dual, rescale, root_lattice, sublattice
 from parafusion.linalg import (
+    _gauss_jordan,
     _hermite_with_transform,
     coset_minimum,
     det,
@@ -24,6 +30,7 @@ from parafusion.linalg import (
     mat_inv,
     mat_mul,
     rank,
+    row_mul,
     snf,
     solve_left,
 )
@@ -230,3 +237,174 @@ def test_enumerate_quadratic_a2_dual_with_rational_centre():
     assert set(enumerate_quadratic(gram, Q(3), center=center)) == brute_force(
         gram, Q(3), center
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction routes it replaced
+
+
+def sum_of_products(a, b):
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def oracle_gauss_jordan(rows, ncols):
+    """Reduce ``Fraction`` rows in place to reduced row echelon form on the
+    first ``ncols`` columns, later columns riding along; returns the pivot
+    columns and the signed product of the pivots."""
+    pivots = []
+    pivot_product = Q(1)
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            pivot_product = -pivot_product
+        pivot_product *= rows[r][c]
+        inv_p = 1 / rows[r][c]
+        rows[r] = [x * inv_p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, pivot_product
+
+
+def oracle_det(m):
+    n = len(m)
+    pivots, pivot_product = oracle_gauss_jordan([list(map(Q, row)) for row in m], n)
+    return pivot_product if len(pivots) == n else Q(0)
+
+
+def oracle_inv(m):
+    """The inverse, or None for a singular matrix."""
+    n = len(m)
+    aug = [list(map(Q, row)) + [Q(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    pivots, _ = oracle_gauss_jordan(aug, n)
+    return tuple(tuple(row[n:]) for row in aug) if len(pivots) == n else None
+
+
+def oracle_rank(m):
+    return len(oracle_gauss_jordan([list(map(Q, row)) for row in m], len(m[0]))[0])
+
+
+def oracle_solve_left(basis, target):
+    rows, cols = len(basis), len(basis[0])
+    aug = [[Q(basis[r][c]) for r in range(rows)] + [Q(target[c])] for c in range(cols)]
+    pivots, _ = oracle_gauss_jordan(aug, rows)
+    if any(aug[r][rows] != 0 for r in range(len(pivots), cols)):
+        return None
+    y = [Q(0)] * rows
+    for r, c in enumerate(pivots):
+        y[c] = aug[r][rows]
+    if sum_of_products([y], basis)[0] != tuple(map(Q, target)):
+        return None
+    return tuple(y)
+
+
+def types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+small_ints = st.integers(-9, 9)
+# Denominators up to 7, mixed within one matrix.
+sevenths = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def kernel_matrices(draw, nrows=None, ncols=None, fractions=None):
+    """An up to 8 x 8 matrix of ``int``s or of ``Fraction``s; about half
+    are products through a narrower middle, so rank-deficient."""
+    nrows = draw(st.integers(1, 8)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 8)) if ncols is None else ncols
+    fractions = draw(st.booleans()) if fractions is None else fractions
+    entries = sevenths if fractions else small_ints
+    if draw(st.booleans()):
+        middle = draw(st.integers(0, min(nrows, ncols) - 1))
+        left = draw(matrices(entries, nrows, middle))
+        right = draw(matrices(entries, middle, ncols))
+        m = sum_of_products(left, right) if middle else [[0] * ncols] * nrows
+    else:
+        m = draw(matrices(entries, nrows, ncols))
+    return [[Q(x) if fractions else x for x in row] for row in m]
+
+
+@given(st.tuples(*[st.integers(1, 6)] * 3), st.booleans(), st.booleans(), st.data())
+def test_products_match_sum_of_products_in_value_and_type(shape, a_frac, b_frac, data):
+    n, t, m = shape
+    a = data.draw(kernel_matrices(n, t, a_frac))
+    b = data.draw(kernel_matrices(t, m, b_frac))
+    expected = sum_of_products(a, b)
+    got = mat_mul(a, b)
+    assert got == expected and types(got) == types(expected)
+    row = row_mul(a[0], b)
+    assert row == expected[0] and types([row]) == types(expected[:1])
+
+
+@given(st.data())
+def test_integer_elimination_is_the_fraction_elimination_scaled(data):
+    # With the same pivots and swaps, every row of the fraction-free
+    # elimination is its last pivot times the row the Fraction elimination
+    # leaves, ride-along columns included; so each division was exact.
+    m = data.draw(kernel_matrices(fractions=False))
+    ncols = data.draw(st.integers(0, len(m[0])))
+    rows = [list(row) for row in m]
+    pivots, signed_last = _gauss_jordan(rows, ncols)
+    expected = [list(map(Q, row)) for row in m]
+    expected_pivots, pivot_product = oracle_gauss_jordan(expected, ncols)
+    assert pivots == expected_pivots
+    assert signed_last == pivot_product
+    last = rows[0][pivots[0]] if pivots else 1
+    assert all(type(x) is int for row in rows for x in row)
+    assert [[last * x for x in row] for row in expected] == rows
+
+
+@given(st.integers(1, 8).flatmap(lambda n: kernel_matrices(n, n)))
+def test_det_inverse_and_rank_match_the_fraction_routes(m):
+    assert det(m) == oracle_det(m) and type(det(m)) is Q
+    assert rank(m) == oracle_rank(m)
+    inverse = oracle_inv(m)
+    if inverse is None:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(m)
+    else:
+        got = mat_inv(m)
+        assert got == inverse and all(type(x) is Q for row in got for x in row)
+
+
+@given(kernel_matrices(), st.data())
+def test_rank_and_solve_left_match_the_fraction_routes_on_rectangles(b, data):
+    assert rank(b) == oracle_rank(b)
+    if data.draw(st.booleans()):
+        y = data.draw(st.lists(sevenths, min_size=len(b), max_size=len(b)))
+        target = sum_of_products([y], b)[0]
+    else:
+        target = data.draw(st.lists(sevenths, min_size=len(b[0]), max_size=len(b[0])))
+    got = solve_left(b, target)
+    assert got == oracle_solve_left(b, target)
+    assert got is None or all(type(x) is Q for x in got)
+
+
+def test_lattice_layer_matches_the_fraction_routes_on_non_integral_grams():
+    # 5B's ambient ((1/2)A4)^4 with the glued basis, the A2 dual, and D4
+    # rescaled by 1/3.
+    code = builtin_code("5B")
+    cases = [
+        (ambient_lattice(code), build_lattice(code).basis),
+        (Lattice([[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]]), [[1, 1], [2, -1]]),
+        (rescale(root_lattice("D", 4), Q(1, 3)), [[1, 0, 1, 0], [0, 2, 0, 1]]),
+    ]
+    for lat, rows in cases:
+        assert not lat.is_integral()
+        assert lat.det() == oracle_det(lat.gram) and type(lat.det()) is Q
+        b = [list(map(Q, row)) for row in rows]
+        expected = sum_of_products(sum_of_products(b, lat.gram), list(zip(*b)))
+        assert sublattice(lat, rows).gram == expected
+        assert dual(lat).gram == oracle_inv(lat.gram)
