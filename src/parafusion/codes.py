@@ -179,13 +179,18 @@ def code_dim(code: Code) -> int:
 
 
 @lru_cache(maxsize=None)
+def _block_gram(p: int):
+    """Gram of sqrt(2)A_{p-1}, the lattice under each block's cosets."""
+    return sqrt2_a(p - 1).gram
+
+
+@lru_cache(maxsize=None)
 def _block_norm_counts(p: int, block: Bits, bound: Fraction) -> dict[Fraction, int]:
     """Exact {norm: count} over the vectors of norm <= bound in the coset
     (1/2)beta(block) + sqrt(2)A_{p-1}."""
-    lat = sqrt2_a(p - 1)
     shift = vec(Q(b, 2) for b in block)
     counts: dict[Fraction, int] = {}
-    for _, norm in enumerate_quadratic(lat.gram, bound, center=shift):
+    for _, norm in enumerate_quadratic(_block_gram(p), bound, center=shift):
         counts[norm] = counts.get(norm, 0) + 1
     return counts
 
@@ -194,8 +199,7 @@ def _block_norm_counts(p: int, block: Bits, bound: Fraction) -> dict[Fraction, i
 def _block_coset_data(p: int, block: Bits):
     """Exact (min_norm, minimizer_count, norm_counts up to 4) for the coset
     (1/2)beta(block) + sqrt(2)A_{p-1}."""
-    lat = sqrt2_a(p - 1)
-    mn, mins = coset_minimum(lat.gram, vec(Q(b, 2) for b in block))
+    mn, mins = coset_minimum(_block_gram(p), vec(Q(b, 2) for b in block))
     return mn, len(mins), _block_norm_counts(p, block, Q(4))
 
 

@@ -26,8 +26,8 @@ from .linalg import (
     int_mat,
     integer_row_kernel,
     invariant_factors,
-    is_positive_definite,
     is_symmetric,
+    ldl,
     mat,
     mat_eq,
     mat_inv,
@@ -58,8 +58,7 @@ class Lattice:
         if not is_symmetric(g):
             raise ValueError("gram matrix must be symmetric")
         self._scale, self._int_gram = clear_denominators(g)
-        if not is_positive_definite(self._int_gram):
-            raise ValueError("gram matrix is not positive definite")
+        ldl(self._int_gram)  # raises unless positive definite
         self.gram: Mat = g
 
     @property
@@ -70,7 +69,8 @@ class Lattice:
         return det(self._int_gram) / self._scale**self.rank
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
-        return dot(row_mul(vec(x), self.gram), vec(y))
+        ip = dot(row_mul(vec(x), self._int_gram), vec(y))
+        return ip if self._scale == 1 else ip / self._scale
 
     def norm(self, x: Sequence) -> Fraction:
         return self.inner(x, x)

@@ -10,16 +10,18 @@ scales rational rows to integer rows once, ``mat_mul`` and ``row_mul``
 multiply the cleared operands over ``int`` (``int`` operands give ``int``
 entries, any other one ``Fraction`` per entry), and ``mat_inv``, ``det``,
 ``solve_left`` and ``rank`` read off ``_gauss_jordan``, a fraction-free
-(Bareiss) elimination over Z, as ``is_positive_definite`` does.  Z's
-other elimination is ``_hermite_with_transform`` (``hnf``, ``snf``); F2
-has ``f2_echelon``, on rows packed into ``int``s (bit i is coordinate i)
-by ``f2_pack``, with ``f2_unpack``, the XOR product ``f2_row_mul`` and
-``f2_span`` (in mask order).
+(Bareiss) elimination over Z.  Z's other elimination is
+``_hermite_with_transform`` (``hnf``, ``snf``); F2 has ``f2_echelon``, on
+rows packed into ``int``s (bit i is coordinate i) by ``f2_pack``, with
+``f2_unpack``, the XOR product ``f2_row_mul`` and ``f2_span`` (in mask
+order).
 
-``enumerate_quadratic`` (behind ``shell_vectors`` and ``coset_minimum``)
-takes the exact LDL^T decomposition over Q, scales its levels, the
-centre and the bound to integers once, and branches over ``int``s; the
-norms it reports are exact ``Fraction``s.
+Symmetric Grams have one elimination, ``ldl``: the same fraction-free
+loop on the cleared Gram, kept symmetric, whose pivots are the leading
+minors.  It is the definiteness check of every ``Lattice``, and its
+integer levels drive ``enumerate_quadratic`` (behind ``shell_vectors``)
+and ``coset_minimum``, which branch over ``int``s; the norms they report
+are exact ``Fraction``s.
 """
 from __future__ import annotations
 
@@ -208,28 +210,6 @@ def solve_left(basis: Sequence[Sequence], target: Sequence) -> Vec | None:
 def rank(m: Sequence[Sequence]) -> int:
     _, big_m = clear_denominators(m)
     return len(_gauss_jordan(list(big_m), len(big_m[0]) if big_m else 0)[0])
-
-
-def is_positive_definite(m: Sequence[Sequence[int]]) -> bool:
-    """Sylvester's criterion for a symmetric integer matrix: every leading
-    principal minor is positive.
-
-    Bareiss's fraction-free elimination (1968) leaves the (k+1)-th leading
-    minor as the k-th pivot, and each of its divisions is exact.  The
-    eliminated matrix stays symmetric, so only the upper triangle is
-    updated and a[i][k] is read as a[k][i].
-    """
-    a = [list(row) for row in m]
-    prev = 1
-    for k, row_k in enumerate(a):
-        pivot = row_k[k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, len(a)):
-            f = row_k[i]
-            a[i][i:] = [(x * pivot - f * y) // prev for x, y in zip(a[i][i:], row_k[i:])]
-        prev = pivot
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -460,28 +440,80 @@ def f2_span(basis: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# quadratic form enumeration (Fincke-Pohst with exact LDL^T bounds)
+# quadratic form enumeration (Fincke-Pohst on fraction-free LDL^T levels)
 
 
-def ldl(gram: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose Q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2.
+def ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """Fraction-free LDL^T: (s, D, B) with, D[-1] read as 1,
 
-    Requires positive definiteness; raises otherwise.
+        s·Q(x) = sum_i (sum_{j>=i} B[i][j] x_j)^2 / (D[i-1]·D[i]).
+
+    Bareiss's elimination (1968) on the cleared Gram s·gram: D[i] is the
+    (i+1)-th leading minor, B[i] is row i (zero left of i) as it becomes
+    the pivot row, and each division is exact.  The eliminated matrix
+    stays symmetric, so only the upper triangle is updated and a[i][k] is
+    read as a[k][i].  Raises unless every leading minor is positive
+    (Sylvester's criterion for definiteness).
     """
-    n = len(gram)
-    q = [list(map(Fraction, row)) for row in gram]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
+    s, cleared = clear_denominators(gram)
+    a = [list(row) for row in cleared]
+    d, b, prev = [], [], 1
+    for k, row_k in enumerate(a):
+        pivot = row_k[k]
+        if pivot <= 0:
             raise ValueError("gram matrix is not positive definite")
-        d[i] = q[i][i]
-        for j in range(i + 1, n):
-            c[i][j] = q[i][j] / q[i][i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                q[r][s] -= q[r][i] * q[i][s] / q[i][i]
-    return d, c
+        for i in range(k + 1, len(a)):
+            f = row_k[i]
+            a[i][i:] = [(x * pivot - f * y) // prev for x, y in zip(a[i][i:], row_k[i:])]
+        d.append(pivot)
+        b.append((0,) * k + tuple(row_k[k:]))
+        prev = pivot
+    return s, d, b
+
+
+def _levels(gram: Sequence[Sequence], center: Sequence | None):
+    """The ``ldl`` levels of a nonempty Gram on integers, for a centre t.
+
+    With T the lcm of the denominators of t, L the lcm of the D[i-1]·D[i],
+    w_i = L/(D[i-1]·D[i]), y_j = T(x_j + t_j) and U_i = sum_{j>=i} B[i][j]·y_j,
+    s·L·T^2·Q(x + t) = sum_i w_i U_i^2.  Returns (s·L·T^2, T, rows) with
+    rows[i] = (w_i, D[i]·T, D[i]·T·t_i, T·t_i, B[i][i+1:]).
+    """
+    s, d, b = ldl(gram)
+    t_scale, (big_t,) = clear_denominators([center or [0] * len(d)])
+    pairs = [p * q for p, q in zip([1] + d, d)]
+    big_l = lcm(*pairs)
+    rows = [
+        (big_l // pair, di * t_scale, di * ti, ti, b[i][i + 1 :])
+        for i, (pair, di, ti) in enumerate(zip(pairs, d, big_t))
+    ]
+    return s * big_l * t_scale * t_scale, t_scale, rows
+
+
+def _branch_and_bound(t_scale: int, rows: list, budget: int) -> Iterable:
+    """Every (x, sum_i w_i U_i^2) within the integer ``budget`` on the
+    ``_levels`` rows, deepest coordinate first, each coordinate ascending:
+    level i admits exactly the x_i with w_i·U_i^2 <= budget - partial, the
+    deeper levels' sum."""
+    n = len(rows)
+    x = [0] * n
+    y = [0] * n  # y_j = T·(x_j + t_j) once chosen
+
+    def recurse(i: int, partial: int):
+        w, step, base, ti, tail = rows[i]
+        off = base + sum(map(mul, tail, y[i + 1 :]))
+        r = isqrt((budget - partial) // w)
+        for xi in range(-((off + r) // step), (r - off) // step + 1):
+            u = step * xi + off
+            x[i] = xi
+            y[i] = t_scale * xi + ti
+            if i:
+                yield from recurse(i - 1, partial + w * u * u)
+            else:
+                yield tuple(x), partial + w * u * u
+
+    if budget >= 0:
+        yield from recurse(n - 1, 0)
 
 
 def enumerate_quadratic(
@@ -491,57 +523,17 @@ def enumerate_quadratic(
 ) -> Iterable[tuple[tuple[int, ...], Fraction]]:
     """Yield (x, Q(x + center)) over integer x with Q(x + center) <= bound.
 
-    Q is the quadratic form of ``gram``.  Branch and bound on the exact
-    LDL^T levels, deepest coordinate first, each coordinate ascending.
-
-    The levels are scaled once to integers: with Lc, M and T the lcms of
-    the denominators of the c_ij, the d_i and the centre, and S = Lc·T,
-    the node at level i has the integer offset O = S·(t_i + sum c_ij y_j)
-    and admits exactly the x_i with (S·x_i + O)^2 <= rem // (M·d_i),
-    where rem is the integer M·S^2·(bound - partial).  The reported
-    Q(x + center) is the exact ``Fraction`` of the scaled partial sum.
+    Q is the quadratic form of ``gram``; branch and bound on its integer
+    levels with the budget floor(s·L·T^2·bound) (``_levels``).  The
+    reported Q(x + center) is the exact ``Fraction`` of the scaled sum.
     """
     if len(gram) == 0:
         yield (), Fraction(0)
         return
-    d, c = ldl(gram)
-    yield from _branch_and_bound(d, c, bound, center)
-
-
-def _branch_and_bound(
-    d: list[Fraction], c: list[list[Fraction]], bound: Fraction, center: Vec | None
-) -> Iterable[tuple[tuple[int, ...], Fraction]]:
-    """``enumerate_quadratic`` on the LDL^T levels (d, c) of a nonempty Gram."""
-    n = len(d)
-    t = [Fraction(0)] * n if center is None else [Fraction(x) for x in center]
-    c_scale = lcm(*(c[i][j].denominator for i in range(n) for j in range(i + 1, n)))
-    d_scale = lcm(*(di.denominator for di in d))
-    t_scale = lcm(*(ti.denominator for ti in t))
-    s = c_scale * t_scale
-    q_scale = d_scale * s * s
-    big_c = [[int(c_scale * c[i][j]) for j in range(i + 1, n)] for i in range(n)]
-    big_d = [int(d_scale * di) for di in d]
-    big_t = [int(t_scale * ti) for ti in t]
-    bound_int = floor(Fraction(bound) * q_scale)
-    if bound_int < 0:
-        return
-    x = [0] * n
-    y = [0] * n  # y_j = t_scale·(x_j + t_j) once chosen
-
-    def recurse(i: int, partial: int):
-        off = c_scale * big_t[i] + sum(map(mul, big_c[i], y[i + 1 :]))
-        r = isqrt((bound_int - partial) // big_d[i])
-        di, ti = big_d[i], big_t[i]
-        for xi in range(-((off + r) // s), (r - off) // s + 1):
-            v = s * xi + off
-            x[i] = xi
-            y[i] = t_scale * xi + ti
-            if i:
-                yield from recurse(i - 1, partial + di * v * v)
-            else:
-                yield tuple(x), Fraction(partial + di * v * v, q_scale)
-
-    yield from recurse(n - 1, 0)
+    scale, t_scale, rows = _levels(gram, center)
+    budget = floor(Fraction(bound) * scale)
+    for x, q in _branch_and_bound(t_scale, rows, budget):
+        yield x, Fraction(q, scale)
 
 
 def shell_vectors(gram: Mat, norm: Fraction) -> list[tuple[int, ...]]:
@@ -562,43 +554,43 @@ def coset_minimum(gram: Mat, shift: Vec) -> tuple[Fraction, list[tuple[int, ...]
     """Exact min of Q(x + shift) over integer x, with the minimizing x's.
 
     A greedy nearest-plane descent supplies the initial bound; the full
-    branch and bound then certifies the minimum.
+    branch and bound then certifies the minimum; both on integer levels.
     """
     n = len(gram)
-    shift = vec(shift)
     if n == 0:
         return Fraction(0), [()]
-    d, c = ldl(gram)
+    scale, t_scale, rows = _levels(gram, shift)
     # Greedy rounding pass for an upper bound.
-    y = [Fraction(0)] * n
-    x0 = [0] * n
-    upper = Fraction(0)
+    y = [0] * n
+    upper = 0
     for i in range(n - 1, -1, -1):
-        off = shift[i] + sum(c[i][j] * y[j] for j in range(i + 1, n))
-        xi = -(off.numerator // off.denominator)  # -floor(off)
-        best = min((xi - 1, xi, xi + 1), key=lambda cand: d[i] * (cand + off) ** 2)
-        x0[i] = best
-        y[i] = best + shift[i]
-        upper += d[i] * (best + off) ** 2
+        w, step, base, ti, tail = rows[i]
+        off = base + sum(map(mul, tail, y[i + 1 :]))
+        xi = -(off // step)
+        best = min((xi - 1, xi, xi + 1), key=lambda cand: abs(step * cand + off))
+        y[i] = t_scale * best + ti
+        upper += w * (step * best + off) ** 2
     best_norm = upper
     best_vecs: list[tuple[int, ...]] = []
-    for x, q in _branch_and_bound(d, c, upper, shift):
+    for x, q in _branch_and_bound(t_scale, rows, upper):
         if q < best_norm:
             best_norm = q
             best_vecs = [x]
         elif q == best_norm:
             best_vecs.append(x)
-    return best_norm, best_vecs
+    return Fraction(best_norm, scale), best_vecs
 
 
 def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
     """Greedy pairwise size reduction; returns (new_gram, U) with U rows
     expressing the new basis in the old one.
 
-    Enough to tame HNF bases before enumeration; not LLL.
+    Runs on the cleared ``int`` Gram, as scaling changes no rounding or
+    comparison.  Enough to tame HNF bases before enumeration; not LLL.
     """
     n = len(gram)
-    g = [list(map(Fraction, row)) for row in gram]
+    s, cleared = clear_denominators(gram)
+    g = [list(row) for row in cleared]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def apply(i, j, q):  # b_i -= q b_j
@@ -617,8 +609,7 @@ def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
             for j in range(n):
                 if i == j or g[j][j] == 0:
                     continue
-                mu = g[i][j] / g[j][j]
-                q = (2 * mu.numerator + mu.denominator) // (2 * mu.denominator)
+                q = (2 * g[i][j] + g[j][j]) // (2 * g[j][j])
                 if q == 0:
                     continue
                 new_norm = g[i][i] - 2 * q * g[i][j] + q * q * g[j][j]
@@ -627,6 +618,6 @@ def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
                     changed = True
         # Reorder by ascending norm for better enumeration pivots.
     order = sorted(range(n), key=lambda i: g[i][i])
-    g2 = tuple(tuple(g[i][j] for j in order) for i in order)
+    g2 = tuple(tuple(Fraction(g[i][j], s) for j in order) for i in order)
     u2 = tuple(tuple(u[i]) for i in order)
     return g2, u2

@@ -95,7 +95,27 @@ def test_lattice_validation():
         Lattice([[1, 0], [0, -1]])
 
 
-# --- definiteness: Bareiss leading minors against the LDL^T oracle --------
+# --- definiteness: the fraction-free ldl against a Fraction LDL^T oracle ---
+
+
+def oracle_ldl(gram):
+    """Q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2 by ``Fraction``
+    elimination; raises ValueError unless positive definite."""
+    n = len(gram)
+    q = [list(map(Q, row)) for row in gram]
+    d = [Q(0)] * n
+    c = [[Q(0)] * n for _ in range(n)]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        d[i] = q[i][i]
+        for j in range(i + 1, n):
+            c[i][j] = q[i][j] / q[i][i]
+        for r in range(i + 1, n):
+            for t in range(i + 1, n):
+                q[r][t] -= q[r][i] * q[i][t] / q[i][i]
+    return d, c
+
 
 small_rationals = st.builds(Q, st.integers(-4, 4), st.sampled_from((1, 1, 2, 3)))
 
@@ -129,12 +149,20 @@ def symmetric_matrices(draw):
 @example([[2, 2, 0], [2, 2, 0], [0, 0, 1]])  # zero minor mid-way
 def test_lattice_rejects_exactly_what_ldl_rejects(gram):
     try:
-        linalg.ldl(mat(gram))
+        d, c = oracle_ldl(gram)
     except ValueError:
         with pytest.raises(ValueError, match="not positive definite"):
             Lattice(gram)
     else:
         Lattice(gram)
+        # The levels agree: s·d_i = D[i]/D[i-1] and c_ij = B[i][j]/D[i].
+        s, big_d, b = linalg.ldl(gram)
+        assert [Q(x, y) for x, y in zip(big_d, [1] + big_d)] == [s * x for x in d]
+        assert all(
+            Q(b[i][j], big_d[i]) == c[i][j]
+            for i in range(len(gram))
+            for j in range(i + 1, len(gram))
+        )
 
 
 def test_lattice_definiteness_fixed_cases():
@@ -143,8 +171,10 @@ def test_lattice_definiteness_fixed_cases():
     assert not a2_dual.is_integral()
     empty = Lattice([])
     assert (empty.rank, empty.det(), empty.is_integral()) == (0, 1, True)
-    assert linalg.is_positive_definite(int_mat(sqrt2_a(12).gram))
-    assert not linalg.is_positive_definite([[1, 2], [2, 1]])
+    # The last leading minor of 2·A_12 is its determinant, 2^12 · 13.
+    assert linalg.ldl(int_mat(sqrt2_a(12).gram))[1][-1] == 2**12 * 13
+    with pytest.raises(ValueError, match="not positive definite"):
+        linalg.ldl([[1, 2], [2, 1]])
 
 
 def test_rescale_and_sqrt2():

@@ -1,10 +1,14 @@
 """Exact linear algebra kernel: normal forms, kernels, enumeration."""
+import hashlib
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from parafusion.linalg import (
+    _levels,
     coset_minimum,
     det,
     enumerate_quadratic,
@@ -141,20 +145,46 @@ def test_integer_row_kernel_saturated():
             assert all(f == 1 for f in invariant_factors(ker))
 
 
-def test_ldl_reconstruction():
-    g = mat([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    diag, coeff = ldl(g)
-    assert all(x > 0 for x in diag)
-    n = 3
-    rng = random.Random(2)
-    for _ in range(20):
-        x = [rng.randint(-4, 4) for _ in range(n)]
-        direct = sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
-        squares = sum(
-            diag[i] * (x[i] + sum(coeff[i][j] * x[j] for j in range(i + 1, n))) ** 2
-            for i in range(n)
-        )
-        assert direct == squares
+@st.composite
+def rational_positive_definite(draw):
+    """B·B^T / q for a nonsingular integer B of rank 1..4, or its inverse."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    b = draw(st.lists(row, min_size=n, max_size=n))
+    assume(det(mat(b)) != 0)
+    q = draw(st.sampled_from((1, 2, 3, 6)))
+    g = [[Q(x, q) for x in r] for r in int_mul(b, [list(c) for c in zip(*b)])]
+    return mat_inv(g) if draw(st.booleans()) else g
+
+
+@given(rational_positive_definite(), st.data())
+def test_ldl_reconstruction(g, data):
+    n = len(g)
+    s, d, b = ldl(g)
+    assert all(type(v) is int for v in [s, *d, *(e for r in b for e in r)])
+    # D[i] is the (i+1)-th leading minor of s·g; B[i] is zero left of i.
+    assert d == [det([[s * e for e in r[: i + 1]] for r in g[: i + 1]]) for i in range(n)]
+    assert all(b[i][j] == 0 for i in range(n) for j in range(i))
+    x = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    t = data.draw(st.lists(st.builds(Q, st.integers(-5, 5), st.integers(1, 4)),
+                           min_size=n, max_size=n))
+
+    def form(v):
+        return sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+
+    squares = sum(
+        Q(sum(b[i][j] * x[j] for j in range(i, n)) ** 2, p * q)
+        for i, (p, q) in enumerate(zip([1] + d, d))
+    )
+    assert squares == s * form(x)
+    # The scaled levels: s·L·T^2·Q(x + t) = sum_i w_i U_i^2 over int.
+    scale, t_scale, rows = _levels(g, t)
+    y = [t_scale * (xi + ti) for xi, ti in zip(x, t)]
+    total = 0
+    for i, (w, step, base, _, tail) in enumerate(rows):
+        u = step * x[i] + base + sum(c * yj for c, yj in zip(tail, y[i + 1 :]))
+        total += w * u * u
+    assert total == scale * form([xi + ti for xi, ti in zip(x, t)])
 
 
 def brute_shell(gram, bound, box):
@@ -202,6 +232,7 @@ def test_coset_minimum_decomposes_once(monkeypatch):
     import parafusion.linalg as linalg_mod
     from parafusion.lattices import sqrt2_a
 
+    gram = sqrt2_a(4).gram
     calls = []
     real_ldl = linalg_mod.ldl
 
@@ -210,7 +241,7 @@ def test_coset_minimum_decomposes_once(monkeypatch):
         return real_ldl(gram)
 
     monkeypatch.setattr(linalg_mod, "ldl", counting_ldl)
-    best, minimizers = coset_minimum(sqrt2_a(4).gram, (Q(1, 2), 0, Q(1, 2), 0))
+    best, minimizers = coset_minimum(gram, (Q(1, 2), 0, Q(1, 2), 0))
     assert len(calls) == 1
     assert (best, len(minimizers)) == (2, 6)
 
@@ -229,6 +260,36 @@ def test_coset_minimum_against_brute_force():
             brute.setdefault(norm, []).append(x)
     assert best == min(brute)
     assert len(minimizers) == len(brute[best])
+
+
+def digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_enumeration_order_is_pinned():
+    # Vectors, minimizers, norms and their order, as the Fraction LDL^T
+    # enumerator gave them: the norm-4 shell of the 5B lattice L_C, the
+    # coset minima of the 16 distinct 5B blocks, and an A2-dual
+    # enumeration around a rational centre.
+    from parafusion.codes import build_lattice, builtin_code, span
+    from parafusion.lattices import shell, sqrt2_a
+
+    code = builtin_code("5B")
+    assert digest(shell(build_lattice(code).lattice, 4)) == (
+        "3f8832aa267cb7b9741e1f4cd7fcdd6e98b6bab39103d26d7665b880fc613655"
+    )
+    blocks = sorted({b for w in span(code) for b in code.blocks(w)})
+    assert len(blocks) == 16
+    gram = sqrt2_a(4).gram
+    minima = [coset_minimum(gram, tuple(Q(b, 2) for b in block)) for block in blocks]
+    assert digest(minima) == (
+        "05a613512efed23fc5ff35ae51327724d4e44da6e2f4cc968aa855d341673fd5"
+    )
+    a2_dual = [[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]]
+    found = list(enumerate_quadratic(a2_dual, Q(3), center=(Q(1, 3), Q(-1, 2))))
+    assert digest(found) == (
+        "bc817c2262a6c40c9e24f607f4ebaa29090b5776cd0f4d09866a5c1fc5e58986"
+    )
 
 
 def test_size_reduce_preserves_lattice():
