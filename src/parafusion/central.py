@@ -3,9 +3,9 @@
 An even lattice L carries a standard 2-cocycle given by a bit matrix E
 with eps(x, y) = x E y^T mod 2.  A lift of an isometry g is the pair
 (g, eta) where eta is a mod-2 quadratic form on L/2L whose polarization
-is eps + eps^g; powers, orders, compositions, and commuting lifts reduce
-to exact bit arithmetic, on rows packed into ints by ``linalg``'s F2
-section; each form packs its rows once.
+is eps + eps^g; powers (by squaring), orders, compositions and commuting
+lifts reduce to exact bit arithmetic on forms held as rows packed into
+ints (``linalg``'s F2 section), which ``matrix`` unpacks to 0/1 tuples.
 
 Lifts compose in closed form: x -> eta(x F) is the quadratic form with
 eta on the rows of F as its diagonal and F B F^T as its polarization
@@ -16,9 +16,9 @@ kept as a small-n oracle for checking the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .lattices import Isometry, Lattice
+from .lattices import Lattice, _order
 from .linalg import (
     IntMat, clear_denominators, f2_echelon, f2_pack, f2_row_mul, f2_unpack,
     int_identity, int_mat, mat_inv, mat_mul, mat_pow, mat_scale, row_mul, vec,
@@ -53,43 +53,52 @@ def f2_solve_unique(a: BitMat, b: Bits) -> Bits:
     return f2_unpack(x, n)
 
 
-def _require_alternating(b: BitMat, error: type, diagonal: str, symmetric: str):
+def _require_alternating(rows: Sequence[int], error, diagonal: str, symmetric: str):
     """Raise ``error`` with the message for the first fault, row by row,
-    that keeps b from being symmetric with zero diagonal."""
-    for i, row in enumerate(b):
-        if row[i]:
+    that keeps the packed rows from being symmetric with zero diagonal."""
+    for i, r in enumerate(rows):
+        if r >> i & 1:
             raise error(diagonal)
-        if tuple(row) != tuple(r[i] for r in b):
+        if r != sum((s >> i & 1) << j for j, s in enumerate(rows)):
             raise error(symmetric)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class F2BilinearForm:
-    """Bit matrix B with value(x, y) = x B y^T mod 2."""
+    """Square bit matrix B, value(x, y) = x B y^T mod 2, held as packed rows."""
 
-    matrix: BitMat
-    _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_rows", tuple(map(f2_pack, self.matrix)))
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        if any(len(row) != len(matrix) for row in matrix):
+            raise ValueError("bilinear form matrix must be square")
+        object.__setattr__(self, "_rows", tuple(map(f2_pack, matrix)))
+
+    @classmethod
+    def _packed(cls, rows: Iterable[int]) -> "F2BilinearForm":
+        form = cls.__new__(cls)
+        object.__setattr__(form, "_rows", tuple(rows))
+        return form
+
+    @property
+    def matrix(self) -> BitMat:
+        return tuple(f2_unpack(r, len(self._rows)) for r in self._rows)
 
     def value(self, x: Bits, y: Bits) -> int:
         return (f2_row_mul(f2_pack(x), self._rows) & f2_pack(y)).bit_count() & 1
 
     def __add__(self, other: "F2BilinearForm") -> "F2BilinearForm":
-        if len(self.matrix) != len(other.matrix):
+        if len(self._rows) != len(other._rows):
             raise ValueError("bilinear forms of different sizes")
-        n = len(self.matrix[0]) if self.matrix else 0
-        return F2BilinearForm(
-            tuple(f2_unpack(a ^ b, n) for a, b in zip(self._rows, other._rows))
-        )
+        return F2BilinearForm._packed(a ^ b for a, b in zip(self._rows, other._rows))
 
-    def conjugate(self, g_mod2: BitMat) -> "F2BilinearForm":
-        """Pullback along g: value(x g, y g), i.e. matrix g E g^T."""
-        g = [f2_pack(r) for r in g_mod2]
+    def conjugate(self, g: Sequence) -> "F2BilinearForm":
+        """Pullback along g: value(x g, y g), i.e. matrix g B g^T; g is
+        integer rows, or rows already packed mod 2."""
+        g = [r if type(r) is int else f2_pack(r) for r in g]
         gb = [f2_row_mul(a, self._rows) for a in g]
-        return F2BilinearForm(
-            tuple(tuple((a & b).bit_count() & 1 for b in g) for a in gb)
+        return F2BilinearForm._packed(
+            sum(((a & b).bit_count() & 1) << j for j, b in enumerate(g)) for a in gb
         )
 
 
@@ -108,16 +117,16 @@ class F2QuadraticForm:
     _upper: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = self.polarization.matrix
-        if len(b) != len(self.diagonal):
+        rows = self.polarization._rows
+        if len(rows) != len(self.diagonal):
             raise ValueError("diagonal and polarization sizes differ")
         _require_alternating(
-            b, ValueError, "polarization must have zero diagonal",
+            rows, ValueError, "polarization must have zero diagonal",
             "polarization must be symmetric",
         )
         object.__setattr__(self, "_diag", f2_pack(self.diagonal))
-        rows = enumerate(self.polarization._rows)
-        object.__setattr__(self, "_upper", tuple(r >> i + 1 << i + 1 for i, r in rows))
+        upper = (r >> i + 1 << i + 1 for i, r in enumerate(rows))
+        object.__setattr__(self, "_upper", tuple(upper))
 
     def value(self, x: Bits) -> int:
         return self._packed_value(f2_pack(x))
@@ -150,10 +159,10 @@ def quadratic_from_values(values, n: int) -> F2QuadraticForm:
     return form
 
 
-def pullback(q: F2QuadraticForm, f: BitMat) -> F2QuadraticForm:
-    """The form x -> q(x f): q on the rows of f as its diagonal, and
-    f B f^T as its polarization."""
-    diagonal = tuple(q.value(row) for row in f)
+def pullback(q: F2QuadraticForm, f: Sequence[int]) -> F2QuadraticForm:
+    """The form x -> q(x f), f given by packed rows: q on the rows of f as
+    its diagonal, and f B f^T as its polarization."""
+    diagonal = tuple(map(q._packed_value, f))
     return F2QuadraticForm(diagonal, q.polarization.conjugate(f))
 
 
@@ -170,10 +179,11 @@ def standard_epsilon(lat: Lattice) -> F2BilinearForm:
 
 
 def b_g_form(eps: F2BilinearForm, g_matrix: Sequence[Sequence]) -> F2BilinearForm:
-    """Polarization eps + eps^g of any lift of g; symmetric, zero diagonal."""
-    out = eps + eps.conjugate(mod2_matrix(g_matrix))
+    """Polarization eps + eps^g of any lift of g (rows as ``conjugate``
+    takes them); symmetric, zero diagonal."""
+    out = eps + eps.conjugate(g_matrix)
     _require_alternating(
-        out.matrix, AssertionError, "b_g diagonal must vanish for an isometry",
+        out._rows, AssertionError, "b_g diagonal must vanish for an isometry",
         "b_g must be symmetric for an isometry",
     )
     return out
@@ -199,8 +209,7 @@ class Lift:
             raise ValueError("lift base must be an integral isometry")
         object.__setattr__(self, "base", m)
         object.__setattr__(self, "_rows", tuple(map(f2_pack, m)))
-        expected = b_g_form(self.eps, m)
-        if self.eta.polarization.matrix != expected.matrix:
+        if self.eta.polarization != b_g_form(self.eps, self._rows):
             raise ValueError("eta polarization must equal eps + eps^g")
 
     def base_mod2(self) -> BitMat:
@@ -260,9 +269,8 @@ def lift_power_sign_even_form(lf: Lift, alpha: Sequence, n: int) -> int:
 
 def lift_order(lf: Lift, cap: int = 512) -> int:
     """Order of the lift: the base order m, doubled when the m-th power
-    picks up the central sign on some basis vector."""
-    iso = Isometry(lf.base, lf.lattice)
-    m = iso.order(cap=cap)
+    picks up the central sign on some basis vector; on the checked base."""
+    m = _order(1, lf.base, cap)
     for e_i in int_identity(lf.lattice.rank):
         if lift_power_sign(lf, e_i, m):
             return 2 * m
@@ -277,9 +285,9 @@ def compose(after: Lift, first: Lift) -> Lift:
     if after.lattice is not first.lattice and after.lattice.gram != first.lattice.gram:
         raise ValueError("lifts live on different lattices")
     base = mat_mul(first.base, after.base)
-    moved = pullback(after.eta, first.base_mod2())
+    moved = pullback(after.eta, first._rows)
     eta = F2QuadraticForm(
-        tuple((a + b) % 2 for a, b in zip(first.eta.diagonal, moved.diagonal)),
+        tuple(a ^ b for a, b in zip(first.eta.diagonal, moved.diagonal)),
         first.eta.polarization + moved.polarization,
     )
     return Lift(after.lattice, after.eps, base, eta)
@@ -289,15 +297,20 @@ def lift_inverse(lf: Lift) -> Lift:
     base = mat_inv(lf.base)
     if any(e.denominator != 1 for row in base for e in row):
         raise ValueError("base isometry is not invertible over the integers")
-    return Lift(lf.lattice, lf.eps, base, pullback(lf.eta, mod2_matrix(base)))
+    return Lift(lf.lattice, lf.eps, base, pullback(lf.eta, tuple(map(f2_pack, base))))
 
 
 def lift_power(lf: Lift, n: int) -> Lift:
+    """lf^n by repeated squaring, as powers of one lift commute."""
     if n < 0:
         return lift_power(lift_inverse(lf), -n)
     out = lift(int_identity(lf.lattice.rank), lf.lattice, lf.eps)
-    for _ in range(n):
-        out = compose(lf, out)
+    while n:
+        if n & 1:
+            out = compose(lf, out)
+        n >>= 1
+        if n:
+            lf = compose(lf, lf)
     return out
 
 
@@ -338,13 +351,11 @@ def commuting_lift(f_matrix: Sequence[Sequence], g_lift: Lift, m: int) -> Lift:
     lat = g_lift.lattice
     n = lat.rank
     f = int_mat(f_matrix)
-    gm = mat_pow(g_lift.base, m)
-    if mat_mul(f, g_lift.base) != mat_mul(gm, f):
+    g_lift_m = lift_power(g_lift, m)
+    if mat_mul(f, g_lift.base) != mat_mul(g_lift_m.base, f):
         raise ValueError("relation f^{-1} g f = g^m fails on the lattice")
     xi = lift(f, lat, g_lift.eps)
-    g_lift_m = lift_power(g_lift, m)
-    fbar = [f2_pack(r) for r in f]
-    hbar = [f2_pack(r) for r in gm]
+    fbar, hbar = xi._rows, g_lift_m._rows
 
     def lam_fn(x: int) -> int:
         return (
@@ -359,7 +370,7 @@ def commuting_lift(f_matrix: Sequence[Sequence], g_lift: Lift, m: int) -> Lift:
         for j in range(i + 1, n):
             if lam_fn(1 << i | 1 << j) != (lam[i] + lam[j]) % 2:
                 raise AssertionError("mismatch functional is not linear")
-    mu = mu_plus_mu_g_solve(gm, lam)
+    mu = mu_plus_mu_g_solve(g_lift_m.base, lam)
     corrected = tuple((d + b) % 2 for d, b in zip(xi.eta.diagonal, mu))
     phi = lift(f, lat, g_lift.eps, corrected)
     check = compose(lift_inverse(phi), compose(g_lift, phi))

@@ -175,9 +175,9 @@ def load_code(path: str):
 
 
 # Levels past these bounds are usage errors rather than runs of minutes or
-# a MemoryError.  On a 2-core x86 host: lift-order multiplies (k-1)x(k-1)
-# matrices up to k times, 13 s at k = 128; sigma-check and orbifold-table
-# keep k+2 operators of (k+2)^2 entries, 2.4-5.8 s and up to 266 MB at
+# a MemoryError.  On a 2-core x86 host: lift-order takes up to k sparse
+# (k-1)x(k-1) products, 0.4 s at k = 128; sigma-check and orbifold-table
+# keep k+2 operators of (k+2)^2 entries, 0.9-1.8 s and up to 103 MB at
 # k = 128; zk-check fuses all O(k^4) label pairs, 17 s at k = 64.
 MAX_LEVEL = 128
 MAX_ZK_LEVEL = 64
@@ -458,9 +458,9 @@ def cmd_lc_verify(args):
 def cmd_u5a(args):
     if args.action == "table":
         rows = u5a_mod.golden_rows(args.golden_dir)
-        table = [
-            [list(u5a_mod.u_fuse(i, j, rows)) for j in range(9)] for i in range(9)
-        ]
+        index = u5a_mod.induction_index(rows)
+        table = [[list(u5a_mod.u_fuse(i, j, rows, None, index)) for j in range(9)]
+                 for i in range(9)]
         lines = []
         for i in range(9):
             for j in range(i, 9):

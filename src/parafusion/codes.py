@@ -482,11 +482,9 @@ def glue_form_report(built: BuiltLattice) -> GlueFormReport:
     p = built.code.p
     lat = built.lattice
     b_inv = _basis_inverse(built)
-    lam_rows = [row_mul(vec(r), b_inv) for r in glue_vector_rows(built.code)]
-    for lam in lam_rows:
-        pairings = row_mul(lam, lat.gram)
-        if any(e.denominator != 1 for e in pairings):
-            raise AssertionError("glue vector is not in the dual lattice")
+    lam_rows = mat_mul(glue_vector_rows(built.code), b_inv)
+    if any(e.denominator != 1 for row in mat_mul(lam_rows, lat.gram) for e in row):
+        raise AssertionError("glue vector is not in the dual lattice")
     disc = discriminant_group(lat)
     f_rows = []
     q_vals = []
@@ -599,7 +597,7 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
         f_rows.append(tuple(delta))
     m_rows = hnf(tuple(f_rows) + _half_vector_rows())
     nu2 = mat_pow(nu_ambient_matrix(code), 2)
-    mprime_rows = hnf([row_mul(r, nu2) for r in m_rows])
+    mprime_rows = hnf(mat_mul(m_rows, nu2))
 
     for name, rows in (("M", m_rows), ("M'", mprime_rows)):
         lat = sublattice(built.ambient, rows)
@@ -647,8 +645,7 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
 
     # Involutions: coordinates of M and M' over the glued lattice.
     b_inv = _basis_inverse(built)
-    m_in_lc = [row_mul(vec(r), b_inv) for r in m_rows]
-    mp_in_lc = [row_mul(vec(r), b_inv) for r in mprime_rows]
+    m_in_lc, mp_in_lc = mat_mul(m_rows, b_inv), mat_mul(mprime_rows, b_inv)
     for rows in (m_in_lc, mp_in_lc):
         if any(e.denominator != 1 for r in rows for e in r):
             failures.append("E8 member not inside the glued lattice")

@@ -163,6 +163,16 @@ def root_lattice(family: str, n: int) -> Lattice:
     raise ValueError(f"unknown family {family!r}; expected A, D, or E")
 
 
+def _order(s: int, big_m: linalg.IntMat, cap: int) -> int:
+    """Least n <= cap with (M/s)^n = 1, checked over int as M^n = s^n·I."""
+    p, scale = big_m, s
+    for n in range(1, cap + 1):
+        if all(x == scale * (i == j) for i, r in enumerate(p) for j, x in enumerate(r)):
+            return n
+        p, scale = mat_mul(big_m, p), scale * s
+    raise ValueError(f"order exceeds cap {cap}")
+
+
 @dataclass(frozen=True)
 class Isometry:
     """Gram-preserving linear map, as a matrix of row images."""
@@ -184,16 +194,8 @@ class Isometry:
         return row_mul(vec(x), self.matrix)
 
     def order(self, cap: int = 512) -> int:
-        """Least n <= cap with m^n = 1, checked over int as M^n = s^n·I."""
-        s, big_m = clear_denominators(self.matrix)
-        ident = int_identity(self.lattice.rank)
-        p, scale = big_m, s
-        for n in range(1, cap + 1):
-            if mat_eq(p, mat_scale(ident, scale)):
-                return n
-            p = mat_mul(p, big_m)
-            scale *= s
-        raise ValueError(f"order exceeds cap {cap}")
+        """Least n <= cap with m^n = 1, checked exactly (``_order``)."""
+        return _order(*clear_denominators(self.matrix), cap)
 
     def is_fixed_point_free(self) -> bool:
         return det(mat_sub(identity(self.lattice.rank), self.matrix)) != 0
@@ -311,12 +313,10 @@ def rssd_involution(lat: Lattice, a_rows: Sequence[Sequence]) -> Isometry:
         raise AssertionError("involution matrix not integral")
     if not mat_eq(mat_mul(t, t), identity(n)):
         raise AssertionError("involution does not square to identity")
-    for row_a in sa:
-        if row_mul(vec(row_a), t) != tuple(-Q(e) for e in row_a):
-            raise AssertionError("involution is not -1 on the sublattice")
-    for row_b in sn:
-        if row_mul(vec(row_b), t) != vec(row_b):
-            raise AssertionError("involution is not +1 on the annihilator")
+    if mat_mul(sa, t) != mat_scale(sa, -1):
+        raise AssertionError("involution is not -1 on the sublattice")
+    if mat_mul(sn, t) != sn:
+        raise AssertionError("involution is not +1 on the annihilator")
     return Isometry(t, lat)
 
 

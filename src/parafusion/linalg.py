@@ -6,15 +6,14 @@ routines: Hermite and Smith normal forms, saturated kernels).  No
 floating point anywhere.
 
 The rational routines run on one integer kernel: ``clear_denominators``
-scales rational rows to integer rows once, ``mat_mul`` and ``row_mul``
-multiply the cleared operands over ``int`` (``int`` operands give ``int``
-entries, any other one ``Fraction`` per entry), and ``mat_inv``, ``det``,
-``solve_left`` and ``rank`` read off ``_gauss_jordan``, a fraction-free
-(Bareiss) elimination over Z.  Z's other elimination is
+scales rational rows to integer rows once; ``mat_mul`` and ``row_mul``
+multiply the cleared operands over ``int``, through the nonzero entries of
+the left factor (``int`` operands give ``int``, any other ``Fraction``);
+``mat_inv``, ``det``, ``solve_left`` and ``rank`` read off ``_gauss_jordan``,
+a fraction-free (Bareiss) elimination over Z.  Z's other elimination is
 ``_hermite_with_transform`` (``hnf``, ``snf``); F2 has ``f2_echelon``, on
 rows packed into ``int``s (bit i is coordinate i) by ``f2_pack``, with
-``f2_unpack``, the XOR product ``f2_row_mul`` and ``f2_span`` (in mask
-order).
+``f2_unpack``, the XOR product ``f2_row_mul`` and ``f2_span`` (mask order).
 
 Symmetric Grams have one elimination, ``ldl``: the same fraction-free
 loop on the cleared Gram, kept symmetric, whose pivots are the leading
@@ -80,12 +79,21 @@ def _is_int_mat(m: Sequence[Sequence]) -> bool:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    """a·b; unless both are ``int``, run over ``int`` on the cleared operands."""
+    """a·b, row r summing v·b[c] over the nonzero v = a[r][c] in O(nnz(a)·width);
+    unless both are ``int``, run over ``int`` on the cleared operands."""
     if not (_is_int_mat(a) and _is_int_mat(b)):
         (sa, a), (sb, b) = clear_denominators(a), clear_denominators(b)
         return tuple(tuple(Fraction(x, sa * sb) for x in row) for row in mat_mul(a, b))
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+    out = []
+    for row in a:
+        acc = None
+        for v, b_row in zip(row, b):
+            if v and acc is None:
+                acc = b_row if v == 1 else [v * y for y in b_row]
+            elif v:
+                acc = [x + v * y for x, y in zip(acc, b_row)]
+        out.append(tuple(acc) if acc is not None else (0,) * (len(b[0]) if b else 0))
+    return tuple(out)
 
 
 def mat_sub(a, b) -> tuple:

@@ -21,7 +21,7 @@ from .fusion import (
     sigma_type_index,
     verify_associativity,
 )
-from .linalg import int_identity, mat_sub, transpose
+from .linalg import int_identity, mat_mul, mat_sub, transpose
 
 Q = Fraction
 
@@ -125,19 +125,6 @@ def _operator(row) -> tuple:
     return tuple(tuple(r) for r in m)
 
 
-def _sparse_mul(a, m) -> tuple:
-    """The product a·m through the nonzero entries of a: O(n^2) when each
-    row of a has O(1) of them, as the generator operators do."""
-    out = []
-    for row in a:
-        acc = [0] * len(m[0])
-        for c, v in enumerate(row):
-            if v:
-                acc = [x + v * y for x, y in zip(acc, m[c])]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
 def derive_full_table(k: int) -> OrbifoldTable:
     """Derive the table from the generator rows by operator recursion,
     then run ``verify_table`` on it.
@@ -149,11 +136,11 @@ def derive_full_table(k: int) -> OrbifoldTable:
     """
     n = len(orbifold_basis(k))  # raises for k < 3
     a1, a2 = (_operator([_generator_cell(g, y, k) for y in range(n)]) for g in (1, 2))
-    ops = [int_identity(n), a1, a2, _sparse_mul(a1, a2)]  # ops[2j + eps]
+    ops = [int_identity(n), a1, a2, mat_mul(a1, a2)]  # ops[2j + eps]
     for j in range(1, k // 2):
         prev, cur = ops[2 * j - 2], ops[2 * j]
-        nxt = mat_sub(mat_sub(_sparse_mul(a2, cur), prev), _sparse_mul(a1, cur))
-        ops += [nxt, _sparse_mul(a1, nxt)]
+        nxt = mat_sub(mat_sub(mat_mul(a2, cur), prev), mat_mul(a1, cur))
+        ops += [nxt, mat_mul(a1, nxt)]
     cells = [[tuple([(z, m) for z, m in enumerate(col) if m]) for col in transpose(op)]
              for op in ops]
     table = OrbifoldTable(k, cells)
@@ -172,7 +159,7 @@ def verify_table(table: OrbifoldTable) -> Report:
     failures = []
 
     a1, a2 = _operator(cells[1]), _operator(cells[2])  # W[0,1], W[1,0]
-    if _sparse_mul(a1, a2) != _sparse_mul(a2, a1):
+    if mat_mul(a1, a2) != mat_mul(a2, a1):
         failures.append(("generator_commutation",))
 
     for x in range(n):

@@ -179,6 +179,13 @@ def induce(x: PairLabel, rows: tuple) -> int:
     return matches[0]
 
 
+def induction_index(rows: tuple) -> dict[PairLabel, Optional[int]]:
+    """Row of each neutral pair whose orbit is one golden row, else None."""
+    sets = [frozenset(row) for row in rows]
+    orbits = {x: orbit_of(x) for x in irr0_list()}
+    return {x: sets.index(o) if sets.count(o) == 1 else None for x, o in orbits.items()}
+
+
 def u_weight_dim(i: int, rows: tuple) -> tuple[Fraction, int]:
     """Minimal summand weight of row i and the number of summands attaining it."""
     if not (0 <= i <= 8):
@@ -198,11 +205,13 @@ def u_fuse(
     index: Optional[dict] = None,
 ) -> tuple[int, ...]:
     """Product row indices of rows i and j, via componentwise fusion of
-    representatives and induction (``index`` if given); multiplicity-free."""
+    representatives and induction (through ``index`` where it gives the
+    pair's row, else ``induce``); multiplicity-free."""
     x, y = reps if reps is not None else (rows[i][0], rows[j][0])
     counts: dict[int, int] = {}
     for z, m in pair_fuse(x, y).items():
-        idx = induce(z, rows) if index is None else index[z]
+        idx = index.get(z) if index else None
+        idx = induce(z, rows) if idx is None else idx
         counts[idx] = counts.get(idx, 0) + m
     if any(m != 1 for m in counts.values()):
         raise AssertionError(f"fusion {i} x {j} is not multiplicity-free: {counts}")
@@ -229,7 +238,8 @@ def verify_induction_tables(
     failures: list[tuple] = []
     rows = golden_rows(golden_dir)
 
-    neutral = irr0_list()
+    index = induction_index(rows)
+    neutral = list(index)
     if len(neutral) != 45:
         failures.append(("irr0_count", len(neutral), 45))
 
@@ -249,15 +259,12 @@ def verify_induction_tables(
         if got != weight_table[i]:
             failures.append(("weight_dim", i, got, weight_table[i]))
 
-    sets = [frozenset(row) for row in rows]
-    orbits = {x: orbit_of(x) for x in neutral}  # once per pair, not per term
-    index = {x: sets.index(o) for x, o in orbits.items() if sets.count(o) == 1}
-    failures.extend(("induction", x) for x in neutral if x not in index)
+    failures.extend(("induction", x) for x in neutral if index[x] is None)
 
     def cell(i, j, reps=None):  # None where a term has no row
         try:
             return u_fuse(i, j, rows, reps, index)
-        except KeyError:
+        except ValueError:
             return None
 
     fusion_table = golden_fusion_table(golden_dir)

@@ -1,7 +1,9 @@
 """Central extensions: cocycle bits, lifts, orders, commuting corrections."""
 import random
 from fractions import Fraction as Q
+from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -436,3 +438,73 @@ def test_isometry_accepts_rational_reflection():
         bent = ((Q(4, 5), Q(-4, 5)), r[1])
         with pytest.raises(ValueError):
             Isometry(bent, lat)
+
+
+# --- powers by squaring, orders on the lift's own base -----------------------
+
+
+def power_by_repeated_compose(lf, n):
+    """The repeated-``compose`` loop ``lift_power`` replaced: |n| composes
+    with lf, or with its inverse for n < 0."""
+    if n < 0:
+        lf, n = lift_inverse(lf), -n
+    out = lift(identity(lf.lattice.rank), lf.lattice, lf.eps)
+    for _ in range(n):
+        out = compose(lf, out)
+    return out
+
+
+@settings(max_examples=30)
+@given(st.integers(3, 9), st.data())
+def test_lift_power_by_squaring_matches_repeated_compose(k, data):
+    eta = data.draw(st.lists(st.integers(0, 1), min_size=k - 1, max_size=k - 1))
+    lat = sqrt2_a(k - 1)
+    nu_hat = lift(coxeter_nu(k), lat, standard_epsilon(lat), eta)
+    for n in range(-3, 2 * k + 1):
+        expected = power_by_repeated_compose(nu_hat, n)
+        assert lifts_equal(lift_power(nu_hat, n), expected), n
+
+
+def test_lift_power_composes_once_per_bit_and_per_squaring(monkeypatch):
+    lat = sqrt2_a(6)
+    nu_hat = lift(coxeter_nu(7), lat, standard_epsilon(lat), [1, 0, 1, 1, 0, 0])
+    calls = []
+    real = central.compose
+    monkeypatch.setattr(central, "compose", lambda a, f: calls.append(1) or real(a, f))
+    for n in range(1, 40):
+        calls.clear()
+        lift_power(nu_hat, n)
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+
+
+def dense_order(m):
+    """Least n with m^n = 1, by dense ``Fraction`` powers."""
+    power, n, cols = mat(m), 1, tuple(zip(*m))
+    while not mat_eq(power, identity(len(m))):
+        power = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in power)
+        n += 1
+    return n
+
+
+def test_lift_order_reads_the_base_order_without_an_isometry(monkeypatch):
+    built = []
+    real = Isometry.__post_init__
+    monkeypatch.setattr(
+        Isometry, "__post_init__", lambda iso: built.append(1) or real(iso)
+    )
+    doubled = 0
+    for k in range(3, 14):
+        lat = sqrt2_a(k - 1)
+        eps = standard_epsilon(lat)
+        s = next(s for s in range(2, k) if gcd(s, k) == 1)
+        gens = (coxeter_nu(k), tau_isometry(k, s), neg_identity(k - 1), identity(k - 1))
+        for g, marked in product(gens, (0, 1)):
+            lf, m = lift(g, lat, eps, [marked] + [0] * (k - 2)), dense_order(g)
+            # the m-th power has base 1, so its eta is linear: its diagonal
+            # holds the central signs on the basis
+            signs = power_by_repeated_compose(lf, m).eta.diagonal
+            assert lift_order(lf) == (2 * m if any(signs) else m), (k, g, marked)
+            doubled += any(signs)
+    assert built == [] and doubled
+    tau = tau_isometry(7, 3)
+    assert Isometry(tau, sqrt2_a(6)).order() == dense_order(tau)

@@ -232,6 +232,20 @@ def test_u5a_table(capsys):
     assert "U1 x U3 = U4" in out
 
 
+def test_u5a_table_induces_each_neutral_pair_once(capsys, monkeypatch):
+    from parafusion import u5a
+
+    seen = []
+    real = u5a.orbit_of
+    monkeypatch.setattr(u5a, "orbit_of", lambda x: seen.append(x) or real(x))
+    code, out, _ = run(capsys, "u5a", "table", "--format", "json")
+    assert code == 0
+    assert len(seen) == len(set(seen)) == len(u5a.irr0_list()) == 45
+    rows = u5a.golden_rows()
+    expected = [[list(u5a.u_fuse(i, j, rows)) for j in range(9)] for i in range(9)]
+    assert json.loads(out)["table"] == expected
+
+
 def test_u5a_verify(capsys):
     code, out, _ = run(capsys, "u5a", "verify", "--format", "json")
     assert code == 0

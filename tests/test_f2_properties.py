@@ -137,6 +137,33 @@ def test_conjugate_matches_mat_mul_mod_2(e, data):
     assert got == tuple(tuple(x % 2 for x in row) for row in expected)
 
 
+@given(square_bit_matrices(), st.data())
+def test_bilinear_form_equality_hash_and_matrix_follow_the_bit_matrix(e, data):
+    n = len(e)
+    other = data.draw(st.one_of(st.just(e), bit_rows(n, n), square_bit_matrices()))
+    form, twin = F2BilinearForm(e), F2BilinearForm(other)
+    assert form.matrix == tuple(e)
+    assert (form == twin) == (tuple(e) == tuple(other))
+    assert form == F2BilinearForm(e) and hash(form) == hash(F2BilinearForm(e))
+    if form == twin:
+        assert hash(form) == hash(twin)
+        assert {form: 1}[twin] == 1
+    # Forms built from packed rows (sums, conjugates) are equal, with equal
+    # hashes, to the forms built from their bit matrices.
+    transposed = tuple(zip(*e))
+    summed = form + F2BilinearForm(transposed)
+    assert summed.matrix == tuple(naive_add(r, c) for r, c in zip(e, transposed))
+    g = data.draw(bit_rows(data.draw(st.integers(1, 8)), n))
+    for built in (summed, form.conjugate(g)):
+        assert built == F2BilinearForm(built.matrix)
+        assert hash(built) == hash(F2BilinearForm(built.matrix))
+
+
+def test_bilinear_form_must_be_square():
+    with pytest.raises(ValueError, match="square"):
+        F2BilinearForm(((0, 1, 0), (1, 0, 0)))
+
+
 @st.composite
 def quadratic_forms(draw):
     n = draw(st.integers(1, 8))

@@ -11,6 +11,7 @@ kernel under the rational routines is also checked against the
 from fractions import Fraction as Q
 from itertools import permutations, product
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import assume, given
@@ -346,6 +347,38 @@ def test_products_match_sum_of_products_in_value_and_type(shape, a_frac, b_frac,
     assert got == expected and types(got) == types(expected)
     row = row_mul(a[0], b)
     assert row == expected[0] and types([row]) == types(expected[:1])
+
+
+def dense_product(a, b):
+    """The dense kernel the sparse ``mat_mul`` replaced: every row against
+    every column."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+@st.composite
+def sparse_matrices(draw, nrows, ncols, fractions):
+    """Mostly zero ``int`` or ``Fraction`` entries, with whole rows and
+    columns set to zero."""
+    entries = st.one_of(st.just(0), st.just(0), sevenths if fractions else small_ints)
+    m = draw(matrices(entries, nrows, ncols))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+
+
+@given(st.tuples(*[st.integers(0, 6)] * 3), st.booleans(), st.booleans(), st.data())
+def test_sparse_product_matches_the_dense_kernel(shape, a_frac, b_frac, data):
+    n, t, m = shape
+    a = data.draw(sparse_matrices(n, t, a_frac))
+    b = data.draw(sparse_matrices(t, m, b_frac))
+    got = mat_mul(a, b)
+    assert got == dense_product(a, b)
+    all_int = {type(x) for row in a + b for x in row} <= {int}
+    assert {type(x) for row in got for x in row} <= ({int} if all_int else {Q})
 
 
 @given(st.data())
