@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from math import prod
 from pathlib import Path
 
@@ -478,6 +479,7 @@ def cmd_u5a(args):
     return report.passed, payload, lines
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parafusion",

@@ -1,11 +1,13 @@
 """Code lattices glued from cosets of (sqrt2)A_{p-1} blocks.
 
 A codeword is d blocks of p-1 bits; each block u names the coset
-(1/2)beta(u) + sqrt(2)A_{p-1}.  The mod-2 quadratic space structure on
-blocks, coset weights by exact closest-vector enumeration, the glued
-lattice L_C, and the p = 5 case study (weight-4 word classification,
-the glue discriminant form, and the pair of sqrt(2)E8 sublattices whose
-involutions compose to the block-cycling isometry) all live here.
+(1/2)beta(u) + sqrt(2)A_{p-1}.  The code's mod-2 space is one
+``F2QuadraticForm`` on codewords packed once (``linalg``'s F2 section).
+Coset weights come from exact closest-vector enumeration.  The glued
+lattice L_C and the p = 5 case study (weight-4 word classification, with
+an orbit oracle that takes one pass per orbit; the glue discriminant form;
+the pair of sqrt(2)E8 sublattices whose involutions compose to the
+block-cycling isometry) all live here.
 
 Internal coordinates: the ambient lattice is ((1/2)N)^d with N the
 doubled A_{p-1} block, so codeword bits are literally coordinates and
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
+from .central import F2BilinearForm, F2QuadraticForm, mod2_matrix, pullback
 from .lattices import (
     Isometry,
     Lattice,
@@ -71,6 +74,10 @@ class Code:
     generators: tuple[Bits, ...]
 
     def __post_init__(self):
+        for name in ("p", "d"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p < 3 or self.p % 2 == 0:
             raise ValueError(f"p must be odd and >= 3, got {self.p}")
         if self.d < 1:
@@ -101,38 +108,46 @@ def _cartan(p: int):
     return root_lattice("A", p - 1).gram
 
 
-def _cartan_pairing(u: Sequence[int], v: Sequence[int], p: int) -> int:
-    """The integer u A v^T of two blocks, A the A_{p-1} Cartan matrix."""
-    n = p - 1
-    if len(u) != n or len(v) != n:
-        raise ValueError(f"blocks must have length {n}")
-    a = _cartan(p)
-    return sum(int(u[i]) * int(a[i][j]) * int(v[j]) for i in range(n) for j in range(n))
+def _block_diagonal(block: Sequence[Sequence], d: int) -> tuple:
+    """d copies of the square matrix ``block`` down the diagonal."""
+    n = len(block)
+    return tuple(
+        (0,) * (l * n) + tuple(row) + (0,) * ((d - 1 - l) * n)
+        for l in range(d)
+        for row in block
+    )
+
+
+@lru_cache(maxsize=None)
+def _form(p: int, d: int) -> F2QuadraticForm:
+    """q(u) = (1/2) u A u^T mod 2 on d blocks, A the A_{p-1} Cartan matrix
+    per block: sum u_i + sum u_i u_{i+1}, so the diagonal is all 1 and
+    the polarization u A v^T is A mod 2."""
+    a = mod2_matrix(_block_diagonal(_cartan(p), d))
+    return F2QuadraticForm((1,) * len(a), F2BilinearForm(a))
+
+
+def _block_form(p: int, *blocks: Sequence[int]) -> F2QuadraticForm:
+    """The one-block form, once every block has length p - 1."""
+    if any(len(b) != p - 1 for b in blocks):
+        raise ValueError(f"blocks must have length {p - 1}")
+    return _form(p, 1)
 
 
 def k_inner(u: Sequence[int], v: Sequence[int], p: int) -> int:
     """Mod-2 pairing u A v^T of two blocks."""
-    return _cartan_pairing(u, v, p) % 2
+    return _block_form(p, u, v).polarization.value(u, v)
 
 
 def k_quadratic(u: Sequence[int], p: int) -> int:
     """Mod-2 value (1/2) u A u^T of a block; polarizes to k_inner."""
-    total = _cartan_pairing(u, u, p)
-    if total % 2:
-        raise AssertionError("uAu^T should be even")
-    return (total // 2) % 2
-
-
-@lru_cache(maxsize=None)
-def nu_block_bits(p: int) -> tuple[Bits, ...]:
-    """The block-cycling isometry reduced mod 2 on block bit rows."""
-    return tuple(tuple(e % 2 for e in row) for row in coxeter_nu(p))
+    return _block_form(p, u).value(u)
 
 
 @lru_cache(maxsize=None)
 def _nu_power_rows(p: int) -> tuple[tuple[int, ...], ...]:
     """Packed block rows of nu^a mod 2, for a = 0, ..., p - 1."""
-    nu = [f2_pack(r) for r in nu_block_bits(p)]
+    nu = [f2_pack(r) for r in coxeter_nu(p)]
     powers = [tuple(1 << i for i in range(p - 1))]
     for _ in range(p - 1):
         powers.append(tuple(f2_row_mul(r, nu) for r in powers[-1]))
@@ -151,31 +166,19 @@ def _act(code: Code, perm: Sequence[int], nu_power: int, word: int) -> int:
     return out
 
 
-def apply_nu_word(code: Code, word: Bits) -> Bits:
-    size = code.block_len * code.d
-    return f2_unpack(_act(code, range(code.d), 1, f2_pack(word)), size)
-
-
-def word_inner(code: Code, c1: Bits, c2: Bits) -> int:
-    return sum(
-        k_inner(b1, b2, code.p) for b1, b2 in zip(code.blocks(c1), code.blocks(c2))
-    ) % 2
-
-
-def word_q(code: Code, word: Bits) -> int:
-    return sum(k_quadratic(b, code.p) for b in code.blocks(word)) % 2
+@lru_cache(maxsize=None)
+def _packed(code: Code) -> tuple[tuple[int, ...], dict[int, Bits]]:
+    """A packed F2 echelon basis of the generators, and every codeword,
+    packed, with its bits."""
+    basis = tuple(f2_echelon(map(f2_pack, code.generators)))
+    n = code.block_len * code.d
+    return basis, {w: f2_unpack(w, n) for w in f2_span(basis)}
 
 
 @lru_cache(maxsize=None)
 def span(code: Code) -> tuple[Bits, ...]:
     """All codewords, enumerated from an F2 basis of the generators."""
-    basis = f2_echelon(map(f2_pack, code.generators))
-    n = code.block_len * code.d
-    return tuple(sorted(f2_unpack(w, n) for w in f2_span(basis)))
-
-
-def code_dim(code: Code) -> int:
-    return len(f2_echelon(map(f2_pack, code.generators)))
+    return tuple(sorted(_packed(code)[1].values()))
 
 
 @lru_cache(maxsize=None)
@@ -205,9 +208,7 @@ def _block_coset_data(p: int, block: Bits):
 
 def codeword_weight(code: Code, word: Bits) -> int:
     """Sum over blocks of the minimal coset norm; an exact integer here."""
-    total = Q(0)
-    for b in code.blocks(word):
-        total += _block_coset_data(code.p, b)[0]
+    total = sum(_block_coset_data(code.p, b)[0] for b in code.blocks(word))
     if total.denominator != 1:
         raise AssertionError(f"non-integral weight {total}")
     return int(total)
@@ -225,22 +226,22 @@ class CodeReport:
 
 
 def code_properties(code: Code) -> CodeReport:
-    """Exact enumeration of the span and all declared invariants."""
-    words = span(code)
-    word_set = set(words)
-    self_orth = all(
-        word_inner(code, a, b) == 0 for a in code.generators for b in code.generators
-    )
-    isotropic = all(word_q(code, w) == 0 for w in words)
-    nu_inv = all(apply_nu_word(code, g) in word_set for g in code.generators)
-    dist = Counter(codeword_weight(code, w) for w in words)
+    """Exact enumeration of the span and all declared invariants.
+
+    The code's form pulled back to its basis vanishes iff the code is
+    totally isotropic; its polarization vanishes iff self-orthogonal."""
+    basis, words = _packed(code)
+    on_code = pullback(_form(code.p, code.d), basis)
+    self_orth = not any(map(any, on_code.polarization.matrix))
+    nu_inv = all(_act(code, range(code.d), 1, b) in words for b in basis)
+    dist = Counter(codeword_weight(code, w) for w in words.values())
     half_dim = (code.p - 1) * code.d // 2
     return CodeReport(
         size=len(words),
-        dimension=code_dim(code),
+        dimension=len(basis),
         self_orthogonal=self_orth,
         self_dual=self_orth and len(words) == 2**half_dim,
-        totally_isotropic=isotropic,
+        totally_isotropic=self_orth and not any(on_code.diagonal),
         nu_invariant=nu_inv,
         weight_distribution=tuple(sorted(dist.items())),
     )
@@ -254,16 +255,6 @@ _TYPE_KEYS = {
     ((0, 1, 1, 2), Q(-2)): "III",
     ((1, 1, 1, 1), Q(-1)): "IV",
 }
-
-
-def _block_diagonal(block: Sequence[Sequence], d: int) -> tuple:
-    """d copies of the square matrix ``block`` down the diagonal."""
-    n = len(block)
-    return tuple(
-        (0,) * (l * n) + tuple(row) + (0,) * ((d - 1 - l) * n)
-        for l in range(d)
-        for row in block
-    )
 
 
 @lru_cache(maxsize=None)
@@ -288,13 +279,14 @@ def classify_word(code: Code, word: Bits) -> str:
     """Type of a weight-4 word in the p=5, d=4 configuration."""
     if (code.p, code.d) != (5, 4):
         raise ValueError("classification is defined for p=5, d=4")
-    if codeword_weight(code, word) != 4:
+    minima = sorted(_block_coset_data(code.p, b)[0] for b in code.blocks(word))
+    if sum(minima) != 4:
         raise ValueError("classification applies to weight-4 words")
-    blocks_w = tuple(
-        sorted(int(_block_coset_data(code.p, b)[0]) for b in code.blocks(word))
-    )
     nu_word = row_mul(word, nu_ambient_matrix(code))
-    key = (blocks_w, Q(dot(row_mul(word, _ambient_gram2(code)), nu_word), 2))
+    key = (
+        tuple(map(int, minima)),
+        Q(dot(row_mul(word, _ambient_gram2(code)), nu_word), 2),
+    )
     if key not in _TYPE_KEYS:
         raise ValueError(f"unclassifiable weight-4 word {word}: invariant {key}")
     return _TYPE_KEYS[key]
@@ -306,12 +298,18 @@ class ClassificationReport:
     by_type: tuple[tuple[str, tuple[Bits, ...]], ...]
 
 
+@lru_cache(maxsize=None)
+def _weight4(code: Code) -> dict[int, Bits]:
+    """The weight-4 codewords, packed, with their bits."""
+    words = _packed(code)[1].items()
+    return {w: b for w, b in words if codeword_weight(code, b) == 4}
+
+
 def classify_weight4(code: Code) -> ClassificationReport:
     """Classify every weight-4 word by the invariant pair."""
     buckets: dict[str, list[Bits]] = {"I": [], "II": [], "III": [], "IV": []}
-    for w in span(code):
-        if any(w) and codeword_weight(code, w) == 4:
-            buckets[classify_word(code, w)].append(w)
+    for w in _weight4(code).values():
+        buckets[classify_word(code, w)].append(w)
     return _classification(buckets)
 
 
@@ -325,55 +323,35 @@ def _classification(buckets: dict[str, list[Bits]]) -> ClassificationReport:
 
 
 def _alt4() -> list[tuple[int, ...]]:
-    return [p for p in permutations(range(4)) if _perm_sign(p) == 1]
-
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+    """The even permutations of the four blocks: even inversion count."""
+    return [
+        p for p in permutations(range(4))
+        if sum(a > b for a, b in combinations(p, 2)) % 2 == 0
+    ]
 
 
 def orbit_classification(code: Code) -> ClassificationReport:
-    """Independent oracle: orbits of weight-4 words under the group
-    generated by the block-cycling map and even block permutations."""
+    """Independent oracle: orbits of weight-4 words under the even block
+    permutations times the powers of nu.  nu^a acts alike on every block,
+    so it commutes with the permutations and the 60 maps form a group:
+    the orbit of w is its 60 images, taken in one pass."""
     if (code.p, code.d) != (5, 4):
         raise ValueError("orbit oracle is defined for p=5, d=4")
-    words = [
-        w for w in span(code) if any(w) and codeword_weight(code, w) == 4
-    ]
-    packed = [f2_pack(w) for w in words]
-    word_set = set(packed)
+    words = _weight4(code)
     group = [(perm, a) for perm in _alt4() for a in range(code.p)]
     seen: set[int] = set()
-    orbits: list[list[Bits]] = []
-    for w in packed:
+    buckets: dict[str, list[Bits]] = {"I": [], "II": [], "III": [], "IV": []}
+    for w in words:
         if w in seen:
             continue
-        orbit = set()
-        frontier = [w]
-        while frontier:
-            x = frontier.pop()
-            if x in orbit:
-                continue
-            orbit.add(x)
-            for perm, a in group:
-                y = _act(code, perm, a, x)
-                if y not in word_set:
-                    raise AssertionError("group action leaves the code")
-                if y not in orbit:
-                    frontier.append(y)
+        orbit = {_act(code, perm, a, w) for perm, a in group}
+        if not orbit <= words.keys():
+            raise AssertionError("group action leaves the code")
         seen |= orbit
-        orbits.append(sorted(f2_unpack(x, code.block_len * code.d) for x in orbit))
-    buckets: dict[str, list[Bits]] = {"I": [], "II": [], "III": [], "IV": []}
-    for orbit in orbits:
-        types = {classify_word(code, w) for w in orbit}
+        types = {classify_word(code, words[x]) for x in orbit}
         if len(types) != 1:
             raise AssertionError("orbit spans multiple types")
-        buckets[types.pop()].extend(orbit)
+        buckets[types.pop()].extend(words[x] for x in orbit)
     return _classification(buckets)
 
 
@@ -668,8 +646,8 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
 def load_code(payload: dict) -> Code:
     try:
         return Code(
-            p=int(payload["p"]),
-            d=int(payload["d"]),
+            p=payload["p"],
+            d=payload["d"],
             generators=tuple(tuple(g) for g in payload["generators"]),
         )
     except KeyError as exc:

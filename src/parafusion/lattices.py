@@ -69,8 +69,10 @@ class Lattice:
         return det(self._int_gram) / self._scale**self.rank
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
-        ip = dot(row_mul(vec(x), self._int_gram), vec(y))
-        return ip if self._scale == 1 else ip / self._scale
+        sx, (cx,) = clear_denominators((x,))
+        sy, (cy,) = clear_denominators((y,))
+        ip = sum(v * dot(g, cy) for v, g in zip(cx, self._int_gram) if v)
+        return Fraction(ip, sx * sy * self._scale)
 
     def norm(self, x: Sequence) -> Fraction:
         return self.inner(x, x)

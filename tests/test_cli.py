@@ -356,6 +356,26 @@ def test_console_script_entry_point():
     assert proc.stdout.strip() == "M[5,4] + M[2,0]"
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # A usage error, a success and another subcommand, run in one process
+    # on the one cached parser, print what separate processes print.
+    argvs = [
+        ["lift-order", "-k", "200"],
+        ["lift-order", "-k", "5", "--format", "json"],
+        ["fuse", "-k", "5", "1,0", "1,0"],
+    ]
+    in_process = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in in_process] == [2, 0, 0]
+    for argv, got in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "parafusion.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
 def test_rssd_fractional_basis_exit_two(capsys, tmp_path):
     path = rssd_file(tmp_path, [["1/2", 0]])
     code, out, err = run(capsys, "rssd", path)

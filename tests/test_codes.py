@@ -1,10 +1,13 @@
 """Code-to-lattice gluing: the p=5, d=4 case study and its invariants."""
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
+import parafusion.codes as codes_mod
 from parafusion.codes import (
     Code,
+    CodeReport,
     build_ee8_pair,
     build_lattice,
     builtin_code,
@@ -24,8 +27,15 @@ from parafusion.codes import (
     shell_count_by_cosets,
     span,
 )
-from parafusion.lattices import Isometry, rescale, root_lattice, shell, sublattice
-from parafusion.linalg import det, mat
+from parafusion.lattices import (
+    Isometry,
+    coxeter_nu,
+    rescale,
+    root_lattice,
+    shell,
+    sublattice,
+)
+from parafusion.linalg import det, f2_pack, mat
 
 
 def test_k_inner_and_quadratic_small():
@@ -37,6 +47,30 @@ def test_k_inner_and_quadratic_small():
     assert k_quadratic((0, 0), 3) == 0
     with pytest.raises(ValueError):
         k_inner((1, 0, 0), (0, 1, 0), 3)
+
+
+def _cartan_pairing(u, v, p):
+    """The integer u A v^T of two blocks, A the A_{p-1} Cartan matrix: the
+    reference the code's F2 form replaces."""
+    n = p - 1
+    a = root_lattice("A", n).gram
+    return sum(int(u[i]) * int(a[i][j]) * int(v[j]) for i in range(n) for j in range(n))
+
+
+def test_block_forms_match_the_integer_cartan_pairing():
+    for p in (3, 5, 7):
+        n = p - 1
+        blocks = [tuple((w >> i) & 1 for i in range(n)) for w in range(1 << n)]
+        for u in blocks:
+            total = _cartan_pairing(u, u, p)
+            assert total % 2 == 0
+            assert k_quadratic(u, p) == total // 2 % 2
+            for v in blocks:
+                assert k_inner(u, v, p) == _cartan_pairing(u, v, p) % 2
+    with pytest.raises(ValueError, match="blocks must have length 4"):
+        k_quadratic((1, 0, 1), 5)
+    with pytest.raises(ValueError, match="blocks must have length 4"):
+        k_inner((1, 0, 1, 0), (1, 0, 1), 5)
 
 
 def test_quadratic_polarizes_to_inner():
@@ -79,6 +113,87 @@ def test_case_study_code_report():
     assert rep.weight_distribution == ((0, 1), (4, 130), (6, 120), (8, 5))
 
 
+def _reference_report(code):
+    """The code's invariants by integer Cartan sums over tuple blocks and
+    the integer block-cycling matrix, word by word."""
+    n, p = code.block_len, code.p
+    words = span(code)
+
+    def pairing(x, y):
+        return sum(
+            _cartan_pairing(x[l * n : (l + 1) * n], y[l * n : (l + 1) * n], p)
+            for l in range(code.d)
+        )
+
+    nu = coxeter_nu(p)
+
+    def nu_word(w):
+        return tuple(
+            sum(w[l * n + i] * nu[i][j] for i in range(n)) % 2
+            for l in range(code.d)
+            for j in range(n)
+        )
+
+    gens, word_set = code.generators, set(words)
+    self_orth = all(pairing(a, b) % 2 == 0 for a in gens for b in gens)
+    dist = Counter(codeword_weight(code, w) for w in words)
+    return CodeReport(
+        size=len(words),
+        dimension=len(words).bit_length() - 1,
+        self_orthogonal=self_orth,
+        self_dual=self_orth and len(words) == 2 ** (n * code.d // 2),
+        totally_isotropic=all(pairing(w, w) // 2 % 2 == 0 for w in words),
+        nu_invariant=all(nu_word(g) in word_set for g in gens),
+        weight_distribution=tuple(sorted(dist.items())),
+    )
+
+
+def _flipped(code, i, j):
+    gens = [list(g) for g in code.generators]
+    gens[i][j] ^= 1
+    return Code(p=code.p, d=code.d, generators=tuple(map(tuple, gens)))
+
+
+def test_code_report_matches_the_integer_reference_under_every_bit_flip():
+    code = builtin_code("5B")
+    assert code_properties(code) == _reference_report(code)
+    for i in range(len(code.generators)):
+        for j in range(code.block_len * code.d):
+            flipped = _flipped(code, i, j)
+            assert code_properties(flipped) == _reference_report(flipped), (i, j)
+    for small in (
+        Code(p=3, d=1, generators=((1, 0),)),  # self-orthogonal, q = 1
+        Code(p=3, d=2, generators=((1, 0, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1))),
+        Code(p=3, d=2, generators=()),
+    ):
+        assert code_properties(small) == _reference_report(small)
+
+
+def test_code_report_with_one_bit_flipped():
+    code = builtin_code("5B")
+    assert code_properties(_flipped(code, 0, 0)) == CodeReport(
+        size=256,
+        dimension=8,
+        self_orthogonal=False,
+        self_dual=False,
+        totally_isotropic=False,
+        nu_invariant=False,
+        weight_distribution=(
+            (0, 1), (3, 7), (4, 103), (5, 42), (6, 86), (7, 15), (8, 2),
+        ),
+    )
+    # Still self-dual and totally isotropic, but no longer nu-invariant.
+    assert code_properties(_flipped(code, 1, 12)) == CodeReport(
+        size=256,
+        dimension=8,
+        self_orthogonal=True,
+        self_dual=True,
+        totally_isotropic=True,
+        nu_invariant=False,
+        weight_distribution=((0, 1), (4, 130), (6, 120), (8, 5)),
+    )
+
+
 def test_zero_word_weight():
     code = builtin_code("5B")
     assert codeword_weight(code, (0,) * 16) == 0
@@ -93,6 +208,75 @@ def test_classification_counts_and_oracle_agreement():
     for (t1, words1), (t2, words2) in zip(direct.by_type, orbit.by_type):
         assert t1 == t2
         assert set(words1) == set(words2)
+
+
+def _group():
+    return [(perm, a) for perm in codes_mod._alt4() for a in range(5)]
+
+
+def _weight4_packed(code):
+    return sorted(f2_pack(w) for _, ws in classify_weight4(code).by_type for w in ws)
+
+
+def _bfs_orbits(code, words):
+    """Orbits by closing a frontier under all 60 maps from every member:
+    the reference the one-pass orbits replace."""
+    seen, orbits = set(), set()
+    for w in words:
+        if w in seen:
+            continue
+        orbit, frontier = set(), [w]
+        while frontier:
+            x = frontier.pop()
+            if x not in orbit:
+                orbit.add(x)
+                frontier.extend(codes_mod._act(code, g, a, x) for g, a in _group())
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_one_pass_orbits_equal_the_bfs_orbits(monkeypatch):
+    code = builtin_code("5B")
+    bfs = _bfs_orbits(code, _weight4_packed(code))
+    assert sorted(map(len, bfs)) == [5, 5, 60, 60]
+    act = codes_mod._act
+    images: dict[int, set[int]] = {}
+
+    def spy(code, perm, a, w):
+        y = act(code, perm, a, w)
+        images.setdefault(w, set()).add(y)
+        return y
+
+    monkeypatch.setattr(codes_mod, "_act", spy)
+    report = orbit_classification(code)
+    # one pass: each orbit is the 60 images of its first member
+    assert set(map(frozenset, images.values())) == bfs
+    assert len(images) == len(bfs)
+    # on 5B each type is one orbit
+    assert {frozenset(map(f2_pack, ws)) for _, ws in report.by_type} == bfs
+
+
+def test_the_sixty_maps_compose_within_themselves_on_weight4_words():
+    code = builtin_code("5B")
+    words = _weight4_packed(code)
+    index = {w: i for i, w in enumerate(words)}
+    maps = {
+        tuple(index[codes_mod._act(code, perm, a, w)] for w in words)
+        for perm, a in _group()
+    }
+    assert len(maps) == 60
+    for g in maps:
+        for h in maps:
+            assert tuple(g[i] for i in h) in maps
+
+
+def test_code_rejects_p_and_d_that_are_not_int():
+    for p, d in ((5.9, 4), (5, True), ("5", 4), (5, 4.0), (True, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Code(p=p, d=d, generators=())
+        with pytest.raises(ValueError, match="must be an integer"):
+            load_code({"p": p, "d": d, "generators": []})
 
 
 def test_classify_word_validation():

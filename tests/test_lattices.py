@@ -201,6 +201,31 @@ def test_lattice_inner_and_norm():
     assert a2.norm((1, 1)) == 2
 
 
+def test_inner_clears_only_its_two_coordinate_rows(monkeypatch):
+    # The cached int Gram is not cleared again: clear_denominators sees
+    # no matrix of more than one row, and the value is the exact sum.
+    import parafusion.lattices as lattices_mod
+    import parafusion.linalg as linalg_mod
+
+    gram = tuple(tuple(e / 2 for e in row) for row in root_lattice("A", 4).gram)
+    lat = Lattice(gram)
+    x, y = (1, Q(1, 3), 0, -2), (Q(1, 2), 0, 3, 1)
+    rows = []
+    real = linalg_mod.clear_denominators
+
+    def spy(m):
+        rows.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(linalg_mod, "clear_denominators", spy)
+    monkeypatch.setattr(lattices_mod, "clear_denominators", spy)
+    value = lat.inner(x, y)
+    assert rows and max(rows) == 1
+    assert type(value) is Q
+    assert value == sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, y))
+    assert type(root_lattice("A", 2).inner((1, 0), (0, 1))) is Q
+
+
 def test_sublattice_to_parent():
     a2 = root_lattice("A", 2)
     sub = sublattice(a2, [[1, 1]])
