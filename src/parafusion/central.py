@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .lattices import Lattice, _order
 from .linalg import (
     IntMat, clear_denominators, f2_echelon, f2_pack, f2_row_mul, f2_unpack,
-    int_identity, int_mat, mat_inv, mat_mul, mat_pow, mat_scale, row_mul, vec,
+    int_identity, int_mat, mat_inv, mat_mul, mat_pow, mat_scale, row_mul,
 )
 
 Bits = tuple[int, ...]
@@ -199,6 +199,7 @@ class Lift:
     base: IntMat
     eta: F2QuadraticForm
     _rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Every lift, composites included, is checked in full, over int.
@@ -259,9 +260,9 @@ def lift_power_sign_even_form(lf: Lift, alpha: Sequence, n: int) -> int:
     for _ in range(n):
         acc ^= x
         x = f2_row_mul(x, lf._rows)
-    half = mat_pow(lf.base, n // 2)
-    a = vec(alpha)
-    pair = lf.lattice.inner(a, row_mul(a, half))
+    if n // 2 not in lf._powers:  # g^{n/2}, taken once per lift
+        lf._powers[n // 2] = mat_pow(lf.base, n // 2)
+    pair = lf.lattice.inner(alpha, row_mul(alpha, lf._powers[n // 2]))
     if pair.denominator != 1:
         raise AssertionError("integral lattice pairing expected")
     return (lf.eta._packed_value(acc) + int(pair)) % 2

@@ -83,7 +83,10 @@ class Code:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         n = (self.p - 1) * self.d
-        gens = tuple(tuple(g) for g in self.generators)
+        try:
+            gens = tuple(tuple(g) for g in self.generators)
+        except TypeError:
+            raise ValueError("generators must be a list of bit rows") from None
         for i, g in enumerate(gens):
             if len(g) != n:
                 raise ValueError(f"generator length {len(g)} != {n}")
@@ -648,7 +651,7 @@ def load_code(payload: dict) -> Code:
         return Code(
             p=payload["p"],
             d=payload["d"],
-            generators=tuple(tuple(g) for g in payload["generators"]),
+            generators=payload["generators"],
         )
     except KeyError as exc:
         raise ValueError(f"code JSON missing field {exc}") from exc

@@ -329,14 +329,14 @@ def shell(lat: Lattice, norm) -> list[tuple[int, ...]]:
         raise ValueError(f"norm must be >= 0, got {norm}")
     if norm == 0:
         return [tuple([0] * lat.rank)]
-    if lat.rank > 4:
-        g2, u = size_reduce_basis(lat.gram)
-        cols = tuple(zip(*u))
-        return [
-            tuple(sum(map(mul, x, col)) for col in cols)
-            for x in shell_vectors(g2, norm)
-        ]
-    return shell_vectors(lat.gram, norm)
+    if lat.rank <= 4:
+        return shell_vectors(lat.gram, norm)
+    g2, u = size_reduce_basis(lat.gram)
+    vecs = shell_vectors(g2, norm)
+    if u == int_identity(lat.rank):
+        return vecs
+    cols = tuple(zip(*u))
+    return [tuple(sum(map(mul, x, col)) for col in cols) for x in vecs]
 
 
 def coset_min_norm(lat: Lattice, shift: Sequence) -> Fraction:

@@ -18,13 +18,17 @@ rows packed into ``int``s (bit i is coordinate i) by ``f2_pack``, with
 Symmetric Grams have one elimination, ``ldl``: the same fraction-free
 loop on the cleared Gram, kept symmetric, whose pivots are the leading
 minors.  It is the definiteness check of every ``Lattice``, and its
-integer levels drive ``enumerate_quadratic`` (behind ``shell_vectors``)
-and ``coset_minimum``, which branch over ``int``s; the norms they report
-are exact ``Fraction``s.
+integer levels, kept once per Gram, drive ``enumerate_quadratic``,
+``shell_vectors`` and ``coset_minimum``: one flat branch-and-bound loop
+over ``int``s which, at a zero centre, searches only the half of the
+vectors with a positive leading coordinate and mirrors them by x -> -x.
+``shell_vectors`` compares the level sums as ``int``s; the norms the
+others report are exact ``Fraction``s.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -479,49 +483,84 @@ def ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[tuple[int, ...]]
     return s, d, b
 
 
+@lru_cache(maxsize=64)
+def _gram_levels(gram: tuple) -> tuple:
+    """The centre-free part of ``_levels``, once per Gram: (s·L, D, w, tails)
+    with w_i = L/(D[i-1]·D[i]) and tails[i] = B[i][i+1:]."""
+    s, d, b = ldl(gram)
+    pairs = [p * q for p, q in zip([1] + d, d)]
+    big_l = lcm(*pairs)
+    tails = tuple(row[i + 1 :] for i, row in enumerate(b))
+    return s * big_l, tuple(d), tuple(big_l // p for p in pairs), tails
+
+
 def _levels(gram: Sequence[Sequence], center: Sequence | None):
-    """The ``ldl`` levels of a nonempty Gram on integers, for a centre t.
+    """The ``ldl`` levels of a Gram on integers, for a centre t.
 
     With T the lcm of the denominators of t, L the lcm of the D[i-1]·D[i],
     w_i = L/(D[i-1]·D[i]), y_j = T(x_j + t_j) and U_i = sum_{j>=i} B[i][j]·y_j,
     s·L·T^2·Q(x + t) = sum_i w_i U_i^2.  Returns (s·L·T^2, T, rows) with
     rows[i] = (w_i, D[i]·T, D[i]·T·t_i, T·t_i, B[i][i+1:]).
     """
-    s, d, b = ldl(gram)
+    scale, d, w, tails = _gram_levels(tuple(map(tuple, gram)))
     t_scale, (big_t,) = clear_denominators([center or [0] * len(d)])
-    pairs = [p * q for p, q in zip([1] + d, d)]
-    big_l = lcm(*pairs)
     rows = [
-        (big_l // pair, di * t_scale, di * ti, ti, b[i][i + 1 :])
-        for i, (pair, di, ti) in enumerate(zip(pairs, d, big_t))
+        (wi, di * t_scale, di * ti, ti, tail)
+        for wi, di, ti, tail in zip(w, d, big_t, tails)
     ]
-    return s * big_l * t_scale * t_scale, t_scale, rows
+    return scale * t_scale * t_scale, t_scale, rows
+
+
+def _descend(t_scale: int, rows: list, budget: int, top: int, positive: bool):
+    """Branch and bound from level ``top`` down, every x_j above it zero, as
+    one loop over explicit stacks; x_top starts at 1 when ``positive``."""
+    x = [0] * len(rows)
+    y, off, hi = x[:], x[:], x[:]  # y_j = T·(x_j + t_j) once chosen
+    part = x + [0]  # part[i]: sum of w_j U_j^2 over the chosen levels j >= i
+    i, enter = top, True
+    while i <= top:
+        w, step, base, ti, tail = rows[i]
+        if enter:
+            o = base + sum(map(mul, tail, y[i + 1 :]))
+            r = isqrt((budget - part[i + 1]) // w)
+            xi = 1 if positive and i == top else -((o + r) // step)
+            if not i:
+                for xi in range(xi, (r - o) // step + 1):
+                    u = step * xi + o
+                    x[0] = xi
+                    yield tuple(x), part[1] + w * u * u
+                i, enter = 1, False
+                continue
+            off[i], hi[i] = o, (r - o) // step
+        else:
+            xi = x[i] + 1
+        if xi > hi[i]:
+            i, enter = i + 1, False
+            continue
+        u = step * xi + off[i]
+        x[i], y[i] = xi, t_scale * xi + ti
+        part[i] = part[i + 1] + w * u * u
+        i, enter = i - 1, True
 
 
 def _branch_and_bound(t_scale: int, rows: list, budget: int) -> Iterable:
     """Every (x, sum_i w_i U_i^2) within the integer ``budget`` on the
     ``_levels`` rows, deepest coordinate first, each coordinate ascending:
     level i admits exactly the x_i with w_i·U_i^2 <= budget - partial, the
-    deeper levels' sum."""
+    deeper levels' sum.  At a zero centre Q(-x) = Q(x) and negation
+    reverses that order, so only the x whose deepest nonzero coordinate is
+    positive are searched, by that level, and mirrored."""
     n = len(rows)
-    x = [0] * n
-    y = [0] * n  # y_j = T·(x_j + t_j) once chosen
-
-    def recurse(i: int, partial: int):
-        w, step, base, ti, tail = rows[i]
-        off = base + sum(map(mul, tail, y[i + 1 :]))
-        r = isqrt((budget - partial) // w)
-        for xi in range(-((off + r) // step), (r - off) // step + 1):
-            u = step * xi + off
-            x[i] = xi
-            y[i] = t_scale * xi + ti
-            if i:
-                yield from recurse(i - 1, partial + w * u * u)
-            else:
-                yield tuple(x), partial + w * u * u
-
-    if budget >= 0:
-        yield from recurse(n - 1, 0)
+    if budget < 0:
+        return
+    if any(ti for _, _, _, ti, _ in rows):
+        yield from _descend(t_scale, rows, budget, n - 1, False)
+        return
+    half = [hit for top in range(n) for hit in _descend(t_scale, rows, budget, top, True)]
+    for x, q in reversed(half):
+        yield tuple([-c for c in x]), q
+    yield (0,) * n, 0
+    yield from half
 
 
 def enumerate_quadratic(
@@ -545,17 +584,19 @@ def enumerate_quadratic(
 
 
 def shell_vectors(gram: Mat, norm: Fraction) -> list[tuple[int, ...]]:
-    """All integer coordinate vectors x with x·gram·x^T exactly ``norm``."""
+    """All integer coordinate vectors x with x·gram·x^T exactly ``norm``,
+    kept where the scaled level sum equals norm·s·L as an ``int``."""
     norm = Fraction(norm)
     if norm < 0:
         return []
     if norm == 0:
         return [tuple([0] * len(gram))]
-    out = []
-    for x, q in enumerate_quadratic(gram, norm):
-        if q == norm and any(x):
-            out.append(x)
-    return out
+    scale, t_scale, rows = _levels(gram, None)
+    target = norm * scale
+    if target.denominator != 1:
+        return []
+    target = target.numerator
+    return [x for x, q in _branch_and_bound(t_scale, rows, target) if q == target]
 
 
 def coset_minimum(gram: Mat, shift: Vec) -> tuple[Fraction, list[tuple[int, ...]]]:
@@ -565,8 +606,6 @@ def coset_minimum(gram: Mat, shift: Vec) -> tuple[Fraction, list[tuple[int, ...]
     branch and bound then certifies the minimum; both on integer levels.
     """
     n = len(gram)
-    if n == 0:
-        return Fraction(0), [()]
     scale, t_scale, rows = _levels(gram, shift)
     # Greedy rounding pass for an upper bound.
     y = [0] * n

@@ -205,7 +205,7 @@ def test_criterion_05_lattice_quotients():
 
 
 def test_criterion_06_lift_calculus():
-    for k in range(3, 33):
+    for k in range(3, 65):
         lat = sqrt2_a(k - 1)
         eps = standard_epsilon(lat)
         nu_hat = lift(coxeter_nu(k), lat, eps)

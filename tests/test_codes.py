@@ -96,6 +96,14 @@ def test_code_validation():
         load_code({"p": 5, "d": 4})  # missing generators
 
 
+def test_load_code_rejects_generators_that_are_not_bit_rows():
+    for generators in (5, [5], [[1, 0], 5]):
+        with pytest.raises(ValueError, match="list of bit rows"):
+            load_code({"p": 3, "d": 1, "generators": generators})
+        with pytest.raises(ValueError, match="list of bit rows"):
+            Code(p=3, d=1, generators=generators)
+
+
 def test_builtin_requires_known_name():
     with pytest.raises(ValueError):
         builtin_code("9Z")

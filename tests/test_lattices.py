@@ -1,4 +1,5 @@
 """Integral lattices: root systems, quotients, shells, isometries."""
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
@@ -317,6 +318,22 @@ def test_shells():
     e8 = root_lattice("E", 8)
     assert len(shell(e8, 2)) == 240
     assert len(shell(sqrt2_a(4), 4)) == 20
+
+
+def test_shell_maps_back_from_a_reduced_basis():
+    # B = I with 3 on the superdiagonal skews E8 so that size reduction
+    # changes the basis (U != I), and shell maps each vector back through U.
+    b = [[int(i == j) + 3 * (j == i + 1) for j in range(8)] for i in range(8)]
+    skewed = Lattice(mat_mul(mat_mul(b, root_lattice("E", 8).gram), transpose(b)))
+    assert linalg.size_reduce_basis(skewed.gram)[1] != linalg.int_identity(8)
+    vecs = shell(skewed, 2)
+    assert len(vecs) == len(set(vecs)) == 240
+    assert all(skewed.norm(v) == 2 for v in vecs)
+    # The vectors and their order, as the enumerator gave them before the
+    # identity transform was skipped.
+    assert hashlib.sha256(repr(vecs).encode()).hexdigest() == (
+        "e1212b42538493a74166bb9b657e9cbf2dad3823da9e33ea7b08e83c2d281962"
+    )
 
 
 def test_shell_negation_closed():

@@ -241,9 +241,16 @@ def test_coset_minimum_decomposes_once(monkeypatch):
         return real_ldl(gram)
 
     monkeypatch.setattr(linalg_mod, "ldl", counting_ldl)
+    linalg_mod._gram_levels.cache_clear()
     best, minimizers = coset_minimum(gram, (Q(1, 2), 0, Q(1, 2), 0))
     assert len(calls) == 1
     assert (best, len(minimizers)) == (2, 6)
+    # The levels are kept per Gram: other centres and the enumerator on the
+    # same Gram decompose nothing more.
+    assert coset_minimum(gram, (0, Q(1, 2), 0, Q(1, 2)))[0] == 2
+    assert len(list(enumerate_quadratic(gram, Q(4), center=(Q(1, 2), 0, 0, 0)))) > 0
+    assert len(shell_vectors(gram, 4)) == 20
+    assert len(calls) == 1
 
 
 def test_coset_minimum_against_brute_force():
@@ -268,15 +275,20 @@ def digest(obj):
 
 def test_enumeration_order_is_pinned():
     # Vectors, minimizers, norms and their order, as the Fraction LDL^T
-    # enumerator gave them: the norm-4 shell of the 5B lattice L_C, the
+    # enumerator gave them: the norm-4 and norm-6 shells of the 5B lattice L_C
+    # (the norm-6 one as the recursive integer enumerator gave it), the
     # coset minima of the 16 distinct 5B blocks, and an A2-dual
     # enumeration around a rational centre.
     from parafusion.codes import build_lattice, builtin_code, span
     from parafusion.lattices import shell, sqrt2_a
 
     code = builtin_code("5B")
-    assert digest(shell(build_lattice(code).lattice, 4)) == (
+    lattice = build_lattice(code).lattice
+    assert digest(shell(lattice, 4)) == (
         "3f8832aa267cb7b9741e1f4cd7fcdd6e98b6bab39103d26d7665b880fc613655"
+    )
+    assert digest(shell(lattice, 6)) == (
+        "8e5648ab5dd2465f71f3c329708f74a17232f3fb394c8124ca97862be1650007"
     )
     blocks = sorted({b for w in span(code) for b in code.blocks(w)})
     assert len(blocks) == 16

@@ -6,22 +6,26 @@ inverses and solutions, the Smith route for ranks, and a brute-force
 search of a bounding box for the quadratic-form enumerator.  The integer
 kernel under the rational routines is also checked against the
 ``Fraction`` routes it replaced: sum-of-products matrix products and a
-``Fraction`` Gauss-Jordan elimination, kept here as oracles.
+``Fraction`` Gauss-Jordan elimination, kept here as oracles; the flat
+enumeration loop is checked, order included, against the recursive
+generator it replaced.
 """
 from fractions import Fraction as Q
 from itertools import permutations, product
-from math import isqrt
+from math import floor, isqrt
 from operator import mul
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from parafusion.codes import ambient_lattice, build_lattice, builtin_code
 from parafusion.lattices import Lattice, dual, rescale, root_lattice, sublattice
 from parafusion.linalg import (
+    _branch_and_bound,
     _gauss_jordan,
     _hermite_with_transform,
+    _levels,
     coset_minimum,
     det,
     enumerate_quadratic,
@@ -224,6 +228,64 @@ def test_coset_minimum_matches_brute_force(gram, data):
     assert norm == expected_norm
     assert len(set(minimizers)) == len(minimizers)
     assert set(minimizers) == {x for x, q in pairs if q == expected_norm}
+
+
+def recursive_branch_and_bound(t_scale, rows, budget):
+    """The recursive generator ``_branch_and_bound`` replaced: every
+    (x, sum_i w_i U_i^2) within ``budget`` on the ``_levels`` rows, deepest
+    coordinate first, each coordinate ascending."""
+    n = len(rows)
+    x = [0] * n
+    y = [0] * n
+
+    def recurse(i, partial):
+        w, step, base, ti, tail = rows[i]
+        off = base + sum(map(mul, tail, y[i + 1 :]))
+        r = isqrt((budget - partial) // w)
+        for xi in range(-((off + r) // step), (r - off) // step + 1):
+            u = step * xi + off
+            x[i] = xi
+            y[i] = t_scale * xi + ti
+            if i:
+                yield from recurse(i - 1, partial + w * u * u)
+            else:
+                yield tuple(x), partial + w * u * u
+
+    if budget >= 0:
+        yield from recurse(n - 1, 0)
+
+
+@st.composite
+def gram_and_centre(draw):
+    """A positive-definite Gram and a centre: None, all zero or rational."""
+    gram = draw(positive_definite())
+    n = len(gram)
+    centre = draw(
+        st.none()
+        | st.just((Q(0),) * n)
+        | st.lists(centres, min_size=n, max_size=n).map(tuple)
+    )
+    return gram, centre
+
+
+E8 = root_lattice("E", 8).gram
+
+
+@given(gram_and_centre(), st.builds(Q, st.integers(-4, 12), st.sampled_from((1, 2, 3))))
+@example(([[2, -1], [-1, 2]], None), Q(0))
+@example(([[2, -1], [-1, 2]], None), Q(-1))
+@example(([[2, -1], [-1, 2]], (Q(1, 3), Q(1, 3))), Q(0))
+@example(([[2, -1], [-1, 2]], (Q(1, 3), Q(1, 3))), Q(-1, 2))
+@example(([[2]], None), Q(8))
+@example((E8, None), Q(4))
+@example((E8, (Q(1, 2),) + (Q(0),) * 7), Q(3))
+def test_branch_and_bound_keeps_the_recursive_order(case, bound):
+    gram, centre = case
+    scale, t_scale, rows = _levels(gram, centre)
+    budget = floor(bound * scale)
+    assert list(_branch_and_bound(t_scale, rows, budget)) == list(
+        recursive_branch_and_bound(t_scale, rows, budget)
+    )
 
 
 def test_enumerate_quadratic_a2_dual_with_rational_centre():
