@@ -107,22 +107,28 @@ def _parse_matrix(rows, where: str, width: int | None = None):
     return tuple(out)
 
 
-def _parent_from_payload(payload: dict, where: str) -> Lattice:
+def _parent_from_payload(payload: dict, where: str, chain: tuple = ()) -> Lattice:
+    """The parent lattice; ``chain`` holds the resolved paths of the files
+    being loaded, so a file that is its own ancestor is a usage error."""
     parent_field = payload.get("parent")
     if parent_field is None:
         raise UsageError(f"{where}/parent: missing")
     if isinstance(parent_field, dict):
-        return _lattice_from_payload(parent_field, f"{where}/parent")
+        return _lattice_from_payload(parent_field, f"{where}/parent", chain)
     if isinstance(parent_field, str):
-        return load_lattice(parent_field)
+        resolved = Path(parent_field).resolve()
+        if resolved in chain:
+            raise UsageError(f"{where}/parent: {parent_field} is its own ancestor")
+        chain += (resolved,)
+        return _lattice_from_payload(_read_json(parent_field), parent_field, chain)
     raise UsageError(f"{where}/parent: expected a path or object")
 
 
-def _lattice_from_payload(payload, where: str) -> Lattice:
+def _lattice_from_payload(payload, where: str, chain: tuple = ()) -> Lattice:
     if not isinstance(payload, dict):
         raise UsageError(f"{where}: expected a JSON object")
     if "basis" in payload:
-        parent = _parent_from_payload(payload, where)
+        parent = _parent_from_payload(payload, where, chain)
         rows = _parse_matrix(payload["basis"], f"{where}/basis", parent.rank)
         try:
             return sublattice(parent, rows)
@@ -150,7 +156,7 @@ def _lattice_from_payload(payload, where: str) -> Lattice:
 
 def load_lattice(path: str) -> Lattice:
     """Load and validate a lattice or sublattice JSON file."""
-    return _lattice_from_payload(_read_json(path), path)
+    return _lattice_from_payload(_read_json(path), path, (Path(path).resolve(),))
 
 
 def load_code(path: str):
@@ -322,7 +328,7 @@ def cmd_rssd(args):
     payload_in = _read_json(args.path)
     if not isinstance(payload_in, dict) or "basis" not in payload_in:
         raise UsageError(f"{args.path}: expected a sublattice object with basis")
-    parent = _parent_from_payload(payload_in, args.path)
+    parent = _parent_from_payload(payload_in, args.path, (Path(args.path).resolve(),))
     rows = _parse_matrix(payload_in["basis"], f"{args.path}/basis", parent.rank)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):

@@ -40,7 +40,6 @@ from .lattices import (
 )
 from .linalg import (
     coset_minimum,
-    dot,
     enumerate_quadratic,
     f2_echelon,
     f2_pack,
@@ -49,7 +48,6 @@ from .linalg import (
     f2_unpack,
     hnf,
     identity,
-    int_mat,
     mat,
     mat_eq,
     mat_inv,
@@ -267,12 +265,6 @@ def ambient_lattice(code: Code) -> Lattice:
 
 
 @lru_cache(maxsize=None)
-def _ambient_gram2(code: Code):
-    """Twice the ambient Gram, over int: the A_{p-1} Cartan matrix per block."""
-    return _block_diagonal(int_mat(_cartan(code.p)), code.d)
-
-
-@lru_cache(maxsize=None)
 def nu_ambient_matrix(code: Code):
     """Blockwise block-cycling isometry on the ambient coordinates."""
     return _block_diagonal(coxeter_nu(code.p), code.d)
@@ -286,10 +278,7 @@ def classify_word(code: Code, word: Bits) -> str:
     if sum(minima) != 4:
         raise ValueError("classification applies to weight-4 words")
     nu_word = row_mul(word, nu_ambient_matrix(code))
-    key = (
-        tuple(map(int, minima)),
-        Q(dot(row_mul(word, _ambient_gram2(code)), nu_word), 2),
-    )
+    key = (tuple(map(int, minima)), ambient_lattice(code).inner(word, nu_word))
     if key not in _TYPE_KEYS:
         raise ValueError(f"unclassifiable weight-4 word {word}: invariant {key}")
     return _TYPE_KEYS[key]

@@ -266,11 +266,8 @@ def _require_integer_rows(rows: Mat, what: str) -> linalg.IntMat:
 
 def annihilator(lat: Lattice, a_rows: Sequence[Sequence]) -> linalg.IntMat:
     """HNF basis of {x in L : <x, a> = 0 for all rows a}."""
-    a = mat(a_rows)
-    _require_integer_rows(a, "sublattice")
-    _, m_int = clear_denominators(mat_mul(lat.gram, transpose(a)))
-    ker = integer_row_kernel(m_int)
-    out = hnf(ker)
+    a = _require_integer_rows(mat(a_rows), "sublattice")
+    out = hnf(integer_row_kernel(mat_mul(lat._int_gram, transpose(a))))
     if len(out) + rank(a) != lat.rank:
         raise AssertionError("annihilator rank defect")
     return out
@@ -327,8 +324,6 @@ def shell(lat: Lattice, norm) -> list[tuple[int, ...]]:
     norm = Q(norm)
     if norm < 0:
         raise ValueError(f"norm must be >= 0, got {norm}")
-    if norm == 0:
-        return [tuple([0] * lat.rank)]
     if lat.rank <= 4:
         return shell_vectors(lat.gram, norm)
     g2, u = size_reduce_basis(lat.gram)

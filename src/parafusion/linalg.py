@@ -11,16 +11,20 @@ multiply the cleared operands over ``int``, through the nonzero entries of
 the left factor (``int`` operands give ``int``, any other ``Fraction``);
 ``mat_inv``, ``det``, ``solve_left`` and ``rank`` read off ``_gauss_jordan``,
 a fraction-free (Bareiss) elimination over Z.  Z's other elimination is
-``_hermite_with_transform`` (``hnf``, ``snf``); F2 has ``f2_echelon``, on
-rows packed into ``int``s (bit i is coordinate i) by ``f2_pack``, with
-``f2_unpack``, the XOR product ``f2_row_mul`` and ``f2_span`` (mask order).
+``_hermite_with_transform``: ``hnf``, ``integer_row_kernel`` (the rows of
+the transform whose Hermite rows are zero) and ``snf`` (invariant factors
+and discriminant generators), which alternates it on rows and columns.
+F2 has ``f2_echelon``, on rows packed into ``int``s (bit i is coordinate
+i) by ``f2_pack``, with ``f2_unpack``, the XOR product ``f2_row_mul`` and
+``f2_span`` (mask order).
 
 Symmetric Grams have one elimination, ``ldl``: the same fraction-free
 loop on the cleared Gram, kept symmetric, whose pivots are the leading
 minors.  It is the definiteness check of every ``Lattice``, and its
 integer levels, kept once per Gram, drive ``enumerate_quadratic``,
 ``shell_vectors`` and ``coset_minimum``: one flat branch-and-bound loop
-over ``int``s which, at a zero centre, searches only the half of the
+over ``int``s, with no special case for an empty Gram, a zero norm or a
+negative bound, which at a zero centre searches in one descent only the
 vectors with a positive leading coordinate and mirrors them by x -> -x.
 ``shell_vectors`` compares the level sums as ``int``s; the norms the
 others report are exact ``Fraction``s.
@@ -394,12 +398,10 @@ def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def integer_row_kernel(m: Sequence[Sequence[int]]) -> IntMat:
-    """Saturated basis of {x in Z^rows : x · m = 0}."""
-    d, u, _ = snf(m)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = sum(1 for i in range(min(nrows, ncols)) if d[i][i] != 0)
-    return tuple(u[i] for i in range(r, nrows))
+    """Saturated basis of {x in Z^rows : x · m = 0}: the rows of the
+    unimodular U whose Hermite row U·m is zero."""
+    h, u = _hermite_with_transform(m)
+    return tuple(tuple(u_row) for h_row, u_row in zip(h, u) if not any(h_row))
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +513,22 @@ def _levels(gram: Sequence[Sequence], center: Sequence | None):
     return scale * t_scale * t_scale, t_scale, rows
 
 
-def _descend(t_scale: int, rows: list, budget: int, top: int, positive: bool):
-    """Branch and bound from level ``top`` down, every x_j above it zero, as
-    one loop over explicit stacks; x_top starts at 1 when ``positive``."""
-    x = [0] * len(rows)
+def _descend(t_scale: int, rows: list, budget: int, half: bool):
+    """Branch and bound from the deepest level down, as one loop over
+    explicit stacks.  With ``half``, only the x whose deepest nonzero
+    coordinate is positive: while the deeper levels are all zero, x_i
+    starts at 0, and at 1 on level 0."""
+    n = len(rows)
+    x = [0] * n
     y, off, hi = x[:], x[:], x[:]  # y_j = T·(x_j + t_j) once chosen
     part = x + [0]  # part[i]: sum of w_j U_j^2 over the chosen levels j >= i
-    i, enter = top, True
-    while i <= top:
+    i, enter = n - 1, True
+    while 0 <= i < n:
         w, step, base, ti, tail = rows[i]
         if enter:
             o = base + sum(map(mul, tail, y[i + 1 :]))
             r = isqrt((budget - part[i + 1]) // w)
-            xi = 1 if positive and i == top else -((o + r) // step)
+            xi = (0 if i else 1) if half and not part[i + 1] else -((o + r) // step)
             if not i:
                 for xi in range(xi, (r - o) // step + 1):
                     u = step * xi + o
@@ -548,18 +553,17 @@ def _branch_and_bound(t_scale: int, rows: list, budget: int) -> Iterable:
     ``_levels`` rows, deepest coordinate first, each coordinate ascending:
     level i admits exactly the x_i with w_i·U_i^2 <= budget - partial, the
     deeper levels' sum.  At a zero centre Q(-x) = Q(x) and negation
-    reverses that order, so only the x whose deepest nonzero coordinate is
-    positive are searched, by that level, and mirrored."""
-    n = len(rows)
+    reverses that order, so only the half of x whose deepest nonzero
+    coordinate is positive is searched, and mirrored."""
     if budget < 0:
         return
     if any(ti for _, _, _, ti, _ in rows):
-        yield from _descend(t_scale, rows, budget, n - 1, False)
+        yield from _descend(t_scale, rows, budget, False)
         return
-    half = [hit for top in range(n) for hit in _descend(t_scale, rows, budget, top, True)]
+    half = list(_descend(t_scale, rows, budget, True))
     for x, q in reversed(half):
         yield tuple([-c for c in x]), q
-    yield (0,) * n, 0
+    yield (0,) * len(rows), 0
     yield from half
 
 
@@ -574,9 +578,6 @@ def enumerate_quadratic(
     levels with the budget floor(s·L·T^2·bound) (``_levels``).  The
     reported Q(x + center) is the exact ``Fraction`` of the scaled sum.
     """
-    if len(gram) == 0:
-        yield (), Fraction(0)
-        return
     scale, t_scale, rows = _levels(gram, center)
     budget = floor(Fraction(bound) * scale)
     for x, q in _branch_and_bound(t_scale, rows, budget):
@@ -586,13 +587,8 @@ def enumerate_quadratic(
 def shell_vectors(gram: Mat, norm: Fraction) -> list[tuple[int, ...]]:
     """All integer coordinate vectors x with x·gram·x^T exactly ``norm``,
     kept where the scaled level sum equals norm·s·L as an ``int``."""
-    norm = Fraction(norm)
-    if norm < 0:
-        return []
-    if norm == 0:
-        return [tuple([0] * len(gram))]
     scale, t_scale, rows = _levels(gram, None)
-    target = norm * scale
+    target = Fraction(norm) * scale
     if target.denominator != 1:
         return []
     target = target.numerator

@@ -225,15 +225,13 @@ def contragredient(i: int, rows: tuple) -> int:
     return induce(dual_pair, rows)
 
 
-def verify_induction_tables(
-    golden_dir: Optional[str] = None, check_representatives: bool = True
-) -> Report:
+def verify_induction_tables(golden_dir: Optional[str] = None) -> Report:
     """Re-derive everything and diff against the golden tables.
 
     Covers: the 45-count, orbit partition vs golden rows, weight and
     dimension table, the full fusion table cell-for-cell, symmetry, and
-    (optionally) independence from representative choice over all 25
-    representative pairs per cell.
+    independence from representative choice over all 25 representative
+    pairs per cell.
     """
     failures: list[tuple] = []
     rows = golden_rows(golden_dir)
@@ -276,15 +274,12 @@ def verify_induction_tables(
         ("fusion_symmetry", i, j) for i, j in computed if computed[i, j] != computed[j, i]
     )
 
-    if check_representatives:
-        for i in range(9):
-            for j in range(i, 9):
-                expected = computed[(i, j)]
-                for x in rows[i]:
-                    for y in rows[j]:
-                        got = cell(i, j, (x, y))
-                        if None not in (got, expected) and got != expected:
-                            failures.append(
-                                ("representative_dependence", i, j, x, y, got)
-                            )
+    for i in range(9):
+        for j in range(i, 9):
+            expected = computed[(i, j)]
+            for x in rows[i]:
+                for y in rows[j]:
+                    got = cell(i, j, (x, y))
+                    if None not in (got, expected) and got != expected:
+                        failures.append(("representative_dependence", i, j, x, y, got))
     return Report(tuple(failures))

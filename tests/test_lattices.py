@@ -317,6 +317,7 @@ def test_shells():
         shell(a2, -2)
     e8 = root_lattice("E", 8)
     assert len(shell(e8, 2)) == 240
+    assert shell(e8, 0) == [(0,) * 8]
     assert len(shell(sqrt2_a(4), 4)) == 20
 
 

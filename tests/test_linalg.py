@@ -228,6 +228,20 @@ def test_shell_vectors_come_in_pairs():
     assert all((tuple(-c for c in x) in {tuple(y) for y in sh}) for x in sh)
 
 
+def test_empty_and_non_positive_bounds_take_the_general_path():
+    # Z^0 holds one vector, of norm 0: it lies within a bound exactly when
+    # the bound is >= 0.  A norm-0 shell is the zero vector alone, and a
+    # negative norm has no vectors.
+    assert list(enumerate_quadratic((), -1)) == []
+    assert list(enumerate_quadratic((), 0)) == [((), 0)]
+    assert coset_minimum((), ()) == (0, [()])
+    assert shell_vectors((), 0) == [()]
+    assert shell_vectors((), -1) == []
+    gram = mat([[2, -1], [-1, 2]])
+    assert shell_vectors(gram, 0) == [(0, 0)]
+    assert shell_vectors(gram, -2) == shell_vectors(gram, Q(-1, 2)) == []
+
+
 def test_coset_minimum_decomposes_once(monkeypatch):
     import parafusion.linalg as linalg_mod
     from parafusion.lattices import sqrt2_a

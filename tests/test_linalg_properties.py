@@ -2,7 +2,7 @@
 
 Each property checks a kernel against a route that does not share its
 elimination: the Leibniz expansion for determinants, direct products for
-inverses and solutions, the Smith route for ranks, and a brute-force
+inverses and solutions, the Hermite kernel for ranks, and a brute-force
 search of a bounding box for the quadratic-form enumerator.  The integer
 kernel under the rational routines is also checked against the
 ``Fraction`` routes it replaced: sum-of-products matrix products and a
@@ -12,7 +12,7 @@ generator it replaced.
 """
 from fractions import Fraction as Q
 from itertools import permutations, product
-from math import floor, isqrt
+from math import floor, isqrt, lcm
 from operator import mul
 
 import pytest
@@ -135,7 +135,7 @@ def test_solve_left_rejects_target_outside_row_space(b, data):
 
 
 @given(int_matrices())
-def test_rank_matches_smith_kernel(m):
+def test_rank_matches_hermite_kernel(m):
     assert rank(m) == len(m) - len(integer_row_kernel(m))
 
 
@@ -185,18 +185,27 @@ def form(gram, v):
 
 def brute_force(gram, bound, center):
     """Every (x, Q(x + center)) with Q <= bound, by scanning a box that holds
-    them all: |x_i + t_i| <= sqrt(bound · (gram^-1)_ii)."""
+    them all: |x_i + t_i| <= sqrt(bound · (gram^-1)_ii).  Q is evaluated
+    over ``int``: with s and T the lcms of the denominators of the Gram and
+    the centre, v = T·x + T·t and G = s·gram, s·T^2·Q(x + t) = v·G·v^T."""
     ginv = mat_inv(gram)
     ranges = []
     for i, t in enumerate(center):
         r = bound * ginv[i][i]
         reach = isqrt(-(-r.numerator // r.denominator)) + 1
         ranges.append(range(int(-t) - reach - 1, int(-t) + reach + 2))
+    s = lcm(*(Q(g).denominator for row in gram for g in row))
+    big_t = lcm(*(Q(t).denominator for t in center))
+    g = [[int(s * Q(e)) for e in row] for row in gram]
+    c = [int(big_t * Q(t)) for t in center]
+    scale = s * big_t * big_t
+    limit = floor(Q(bound) * scale)
     out = set()
     for x in product(*ranges):
-        q = form(gram, [xi + t for xi, t in zip(x, center)])
-        if q <= bound:
-            out.add((x, q))
+        v = [big_t * xi + ci for xi, ci in zip(x, c)]
+        q = sum(vi * sum(map(mul, row, v)) for vi, row in zip(v, g))
+        if q <= limit:
+            out.add((x, Q(q, scale)))
     return out
 
 

@@ -173,7 +173,7 @@ def test_verify_induction_tables_flags_bad_fusion_cell(tmp_path):
     assert payload["table"][1][3] == [4]
     payload["table"][1][3] = [5]
     path.write_text(json.dumps(payload))
-    report = verify_induction_tables(golden_dir=str(tmp_path), check_representatives=False)
+    report = verify_induction_tables(golden_dir=str(tmp_path))
     assert not report.passed
     cells = [f for f in report.failures if f[0] == "fusion_cell"]
     assert len(cells) == 1
@@ -188,7 +188,7 @@ def test_verify_induction_tables_flags_bad_weight(tmp_path):
     payload = json.loads(path.read_text())
     payload["weights"][4] = "3/7"
     path.write_text(json.dumps(payload))
-    report = verify_induction_tables(golden_dir=str(tmp_path), check_representatives=False)
+    report = verify_induction_tables(golden_dir=str(tmp_path))
     assert not report.passed
     kinds = {f[0] for f in report.failures}
     assert kinds == {"weight_dim"}
