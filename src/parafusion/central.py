@@ -171,9 +171,9 @@ def standard_epsilon(lat: Lattice) -> F2BilinearForm:
     entries below it, zeros above."""
     if not lat.is_even():
         raise ValueError("standard cocycle needs an even lattice")
-    g = lat.gram
+    g = lat._int_gram
     return F2BilinearForm(mod2_matrix(
-        [g[i][i] / 2 if i == j else g[i][j] if i > j else 0 for j in range(lat.rank)]
+        [g[i][i] // 2 if i == j else g[i][j] if i > j else 0 for j in range(lat.rank)]
         for i in range(lat.rank)
     ))
 

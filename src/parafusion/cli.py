@@ -73,10 +73,12 @@ def _parse_label(text: str, k: int):
         raise UsageError(f"label {text!r}: {exc}") from None
 
 
-def _read_json(path: str):
+def _read_json(path: str, source: Path | None = None):
+    """The JSON in the file ``source`` (by default ``path``); errors name ``path``."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(source or path).read_text())
     except OSError as exc:
+        exc.filename = path
         raise UsageError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: malformed JSON ({exc})") from None
@@ -107,24 +109,25 @@ def _parse_matrix(rows, where: str, width: int | None = None):
     return tuple(out)
 
 
-def _parent_from_payload(payload: dict, where: str, chain: tuple = ()) -> Lattice:
+def _parent_from_payload(payload: dict, where: str, chain: tuple) -> Lattice:
     """The parent lattice; ``chain`` holds the resolved paths of the files
-    being loaded, so a file that is its own ancestor is a usage error."""
+    being loaded, so a file that is its own ancestor is a usage error, and
+    a relative ``parent`` path is read from the directory of the last."""
     parent_field = payload.get("parent")
     if parent_field is None:
         raise UsageError(f"{where}/parent: missing")
     if isinstance(parent_field, dict):
         return _lattice_from_payload(parent_field, f"{where}/parent", chain)
     if isinstance(parent_field, str):
-        resolved = Path(parent_field).resolve()
-        if resolved in chain:
+        path = (chain[-1].parent / parent_field).resolve()
+        if path in chain:
             raise UsageError(f"{where}/parent: {parent_field} is its own ancestor")
-        chain += (resolved,)
-        return _lattice_from_payload(_read_json(parent_field), parent_field, chain)
+        chain += (path,)
+        return _lattice_from_payload(_read_json(parent_field, path), parent_field, chain)
     raise UsageError(f"{where}/parent: expected a path or object")
 
 
-def _lattice_from_payload(payload, where: str, chain: tuple = ()) -> Lattice:
+def _lattice_from_payload(payload, where: str, chain: tuple) -> Lattice:
     if not isinstance(payload, dict):
         raise UsageError(f"{where}: expected a JSON object")
     if "basis" in payload:

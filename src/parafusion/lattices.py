@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -50,20 +51,22 @@ Q = Fraction
 class Lattice:
     """Positive-definite lattice given by an exact rational Gram matrix.
 
-    Its denominators are cleared once, into gram = _int_gram / _scale;
-    definiteness and isometry checks run over ``int`` on that pair."""
+    Its denominators are cleared once, into gram = _int_gram / _scale; every
+    check runs over ``int`` on that pair, and ``gram`` is built on first read."""
 
     def __init__(self, gram: Sequence[Sequence]):
-        g = mat(gram)
-        if not is_symmetric(g):
+        self._scale, self._int_gram = clear_denominators(gram)
+        if not is_symmetric(self._int_gram):
             raise ValueError("gram matrix must be symmetric")
-        self._scale, self._int_gram = clear_denominators(g)
         ldl(self._int_gram)  # raises unless positive definite
-        self.gram: Mat = g
+
+    @cached_property
+    def gram(self) -> Mat:
+        return tuple(tuple(Q(x, self._scale) for x in row) for row in self._int_gram)
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self._int_gram)
 
     def det(self) -> Fraction:
         return det(self._int_gram) / self._scale**self.rank
@@ -89,7 +92,7 @@ class Lattice:
 
     def is_even(self) -> bool:
         return self.is_integral() and all(
-            self.gram[i][i] % 2 == 0 for i in range(self.rank)
+            self._int_gram[i][i] % 2 == 0 for i in range(self.rank)
         )
 
     def __repr__(self):
@@ -256,17 +259,17 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
     return DiscriminantGroup(tuple(factors), tuple(gens), q_values)
 
 
-def _require_integer_rows(rows: Mat, what: str) -> linalg.IntMat:
-    for r in rows:
-        for e in r:
-            if Q(e).denominator != 1:
-                raise ValueError(f"{what} has non-integer coordinate {e}")
-    return int_mat(rows)
+def _require_integer_rows(rows: Sequence[Sequence], what: str) -> linalg.IntMat:
+    s, m = clear_denominators(rows)
+    if s != 1:
+        bad = next(x for row in m for x in row if x % s)
+        raise ValueError(f"{what} has non-integer coordinate {Q(bad, s)}")
+    return m
 
 
 def annihilator(lat: Lattice, a_rows: Sequence[Sequence]) -> linalg.IntMat:
     """HNF basis of {x in L : <x, a> = 0 for all rows a}."""
-    a = _require_integer_rows(mat(a_rows), "sublattice")
+    a = _require_integer_rows(a_rows, "sublattice")
     out = hnf(integer_row_kernel(mat_mul(lat._int_gram, transpose(a))))
     if len(out) + rank(a) != lat.rank:
         raise AssertionError("annihilator rank defect")
@@ -281,14 +284,12 @@ def _rssd_coefficients(lat: Lattice, a_rows: Sequence[Sequence]):
     annihilator, so the sublattice is RSSD exactly when C is integral.
     [S; N] is square: the annihilator has the complementary rank.
     """
-    a = _require_integer_rows(mat(a_rows), "sublattice")
+    a = _require_integer_rows(a_rows, "sublattice")
     if any(len(row) != lat.rank for row in a):
         raise ValueError(f"sublattice rows must have width {lat.rank}")
     sa, sn = hnf(a), annihilator(lat, a)
-    c = mat_scale(mat_inv(sa + sn), 2)
-    if any(e.denominator != 1 for row in c for e in row):
-        return sa, sn, None
-    return sa, sn, int_mat(c)
+    s, c = clear_denominators(mat_scale(mat_inv(sa + sn), 2))
+    return sa, sn, c if s == 1 else None
 
 
 def is_rssd(lat: Lattice, a_rows: Sequence[Sequence]) -> bool:
@@ -388,7 +389,7 @@ def tau_isometry(k: int, s: int) -> linalg.IntMat:
 def quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[int, ...]:
     """Invariant factors of L/S for a full-rank sublattice S, 1s included;
     S has full rank when it has lat.rank nonzero invariant factors."""
-    invs = invariant_factors(_require_integer_rows(mat(s_rows), "sublattice"))
+    invs = invariant_factors(_require_integer_rows(s_rows, "sublattice"))
     if len(invs) != lat.rank:
         raise ValueError("sublattice is not full rank")
     return invs
@@ -401,7 +402,7 @@ def dual_quotient_invariants(lat: Lattice, s_rows: Sequence[Sequence]) -> tuple[
     so the transition matrix of L* over S* is G^{-1}·(G S^T) = S^T, with
     no inverse to take; its SNF gives the quotient, and its rank.
     """
-    s = _require_integer_rows(mat(s_rows), "sublattice")
+    s = _require_integer_rows(s_rows, "sublattice")
     invs = invariant_factors(transpose(s))
     if len(s) != lat.rank or len(invs) != lat.rank:
         raise ValueError("sublattice basis must be square of full rank")
@@ -442,7 +443,7 @@ def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:
         raise ValueError(f"p must be odd and >= 3, got {p}")
     if not lat.is_integral():
         raise ValueError("needs an integral lattice")
-    iso = Isometry(mat(nu), lat)
+    iso = Isometry(nu, lat)
     if not iso.is_integral():
         raise ValueError("isometry must be integral")
     if iso.order(cap=2 * p) != p:
@@ -465,9 +466,7 @@ def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:
     ker = integer_row_kernel(stacked)
     radical = hnf([row[:n] for row in ker])
 
-    dual_rows = mat_mul(
-        mat_inv(lat.gram), mat_sub(identity(n), m)
-    )
+    dual_rows = mat_mul(mat_inv(lat._int_gram), mat_sub(int_identity(n), m))
     cross = lattice_intersection(identity(n), dual_rows)
     if rational_hnf(radical) != cross:
         raise AssertionError("radical disagrees with L intersect (1-nu)L*")
@@ -521,14 +520,15 @@ def weyl_vector(k: int) -> tuple:
 
 
 def _weyl_vector(lat: Lattice) -> tuple:
-    return row_mul(tuple([Q(2)] * lat.rank), mat_inv(lat.gram))
+    # 2·(1, ..., 1)·G^{-1}, with G^{-1} = s·(sG)^{-1}
+    return row_mul((2 * lat._scale,) * lat.rank, mat_inv(lat._int_gram))
 
 
-def _weyl_pairings(k: int) -> tuple[Lattice, Mat, tuple[int, ...]]:
+def _weyl_pairings(k: int) -> tuple[Lattice, linalg.IntMat, tuple[int, ...]]:
     """sqrt(2)A_{k-1}, S = 1 - nu and the pairing row r·G·S^T / 2."""
     lat = sqrt2_a(k - 1)
-    s = mat_sub(identity(k - 1), mat(coxeter_nu(k)))
-    pairings = row_mul(row_mul(_weyl_vector(lat), lat.gram), transpose(s))
+    s = mat_sub(int_identity(k - 1), coxeter_nu(k))
+    pairings = row_mul(row_mul(_weyl_vector(lat), lat._int_gram), transpose(s))
     out = tuple(e / 2 for e in pairings)
     if any(e.denominator != 1 for e in out):
         raise AssertionError("pairing row not integral")

@@ -6,7 +6,8 @@ routines: Hermite and Smith normal forms, saturated kernels).  No
 floating point anywhere.
 
 The rational routines run on one integer kernel: ``clear_denominators``
-scales rational rows to integer rows once; ``mat_mul`` and ``row_mul``
+scales rational rows to integer rows once (all-``int`` rows pass through
+after one type scan, as in ``int_mat``); ``mat_mul`` and ``row_mul``
 multiply the cleared operands over ``int``, through the nonzero entries of
 the left factor (``int`` operands give ``int``, any other ``Fraction``);
 ``mat_inv``, ``det``, ``solve_left`` and ``rank`` read off ``_gauss_jordan``,
@@ -52,6 +53,9 @@ def mat(rows: Iterable[Iterable]) -> Mat:
 
 
 def int_mat(rows: Iterable[Iterable]) -> IntMat:
+    rows = tuple(map(tuple, rows))
+    if _is_int_mat(rows):
+        return rows
     out = []
     for row in rows:
         converted = []
@@ -87,11 +91,9 @@ def _is_int_mat(m: Sequence[Sequence]) -> bool:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    """a·b, row r summing v·b[c] over the nonzero v = a[r][c] in O(nnz(a)·width);
-    unless both are ``int``, run over ``int`` on the cleared operands."""
-    if not (_is_int_mat(a) and _is_int_mat(b)):
-        (sa, a), (sb, b) = clear_denominators(a), clear_denominators(b)
-        return tuple(tuple(Fraction(x, sa * sb) for x in row) for row in mat_mul(a, b))
+    """a·b, row r summing v·b[c] over the nonzero v = a[r][c] in O(nnz(a)·width),
+    over ``int`` on the operands cleared with one type scan each."""
+    (int_a, sa, a), (int_b, sb, b) = _cleared(a), _cleared(b)
     out = []
     for row in a:
         acc = None
@@ -101,7 +103,9 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
             elif v:
                 acc = [x + v * y for x, y in zip(acc, b_row)]
         out.append(tuple(acc) if acc is not None else (0,) * (len(b[0]) if b else 0))
-    return tuple(out)
+    if int_a and int_b:
+        return tuple(out)
+    return tuple(tuple(Fraction(x, sa * sb) for x in row) for row in out)
 
 
 def mat_sub(a, b) -> tuple:
@@ -242,12 +246,20 @@ def hnf(m: Sequence[Sequence[int]]) -> IntMat:
     return tuple(tuple(row) for row in _hermite_with_transform(m)[0] if any(row))
 
 
-def clear_denominators(m: Sequence[Sequence]) -> tuple[int, IntMat]:
+def clear_denominators(m: Iterable[Iterable]) -> tuple[int, IntMat]:
     """(s, s·m) with s the lcm of the denominators of the entries of m;
     ``int`` and ``Fraction`` entries are read as they are."""
-    rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in m]
+    return _cleared(m)[1:]
+
+
+def _cleared(m: Iterable[Iterable]) -> tuple[bool, int, IntMat]:
+    """(whether every entry is an ``int``, s, s·m); all-``int`` rows pass as they are."""
+    rows = tuple(map(tuple, m))
+    if _is_int_mat(rows):
+        return True, 1, rows
+    rows = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in rows]
     scale = lcm(*(x.denominator for row in rows for x in row))
-    return scale, tuple(
+    return False, scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
     )
 

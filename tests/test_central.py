@@ -35,13 +35,14 @@ from parafusion.central import (
 from parafusion.lattices import (
     Isometry,
     Lattice,
+    c_nu_radical,
     coxeter_nu,
     rescale,
     root_lattice,
     sqrt2_a,
     tau_isometry,
 )
-from parafusion.linalg import identity, mat, mat_eq, mat_mul, mat_pow
+from parafusion.linalg import identity, int_identity, mat, mat_eq, mat_mul, mat_pow
 
 
 def all_bits(n):
@@ -508,3 +509,16 @@ def test_lift_order_reads_the_base_order_without_an_isometry(monkeypatch):
     assert built == [] and doubled
     tau = tau_isometry(7, 3)
     assert Isometry(tau, sqrt2_a(6)).order() == dense_order(tau)
+
+
+def test_the_lift_calculus_reads_only_the_int_gram():
+    # sqrt(2)A_{k-1} is even, so its cocycle, lifts and radical need no
+    # Fraction Gram; a regression that reads one builds it on the lattice.
+    for k in (3, 7, 13):
+        lat = sqrt2_a(k - 1)
+        eps = standard_epsilon(lat)
+        nu_hat = lift(coxeter_nu(k), lat, eps)
+        assert lift_order(nu_hat) == k
+        assert "gram" not in vars(lat)
+        assert c_nu_radical(lat, coxeter_nu(k), k) == int_identity(k - 1)
+        assert "gram" not in vars(lat)

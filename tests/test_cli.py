@@ -384,6 +384,29 @@ def test_lattice_info_parent_given_as_a_path(capsys, tmp_path):
     assert json.loads(out)["det"] == "2"
 
 
+def test_a_relative_parent_path_is_read_beside_the_file_that_names_it(
+    capsys, tmp_path, monkeypatch
+):
+    # sub/s.json names a2.json, which sits beside it in sub/; the run
+    # starts from sub/'s parent directory, where no a2.json exists.
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a2.json").write_text(json.dumps({"gram": [[2, -1], [-1, 2]]}))
+    path = tmp_path / "sub" / "s.json"
+    path.write_text(json.dumps({"basis": [[1, 1]], "parent": "a2.json"}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "lattice-info", "--format", "json", "sub/s.json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["det"] == "2"
+    code, out, err = run(capsys, "rssd", "--format", "json", "sub/s.json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"rssd": True, "involution": [["0", "-1"], ["-1", "0"]]}
+    # A parent that is missing beside its file is named as written.
+    path.write_text(json.dumps({"basis": [[1, 1]], "parent": "missing.json"}))
+    assert run(capsys, "lattice-info", "sub/s.json") == (
+        2, "", "error: missing.json: [Errno 2] No such file or directory: 'missing.json'\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["lattice-info", "rssd"])
 def test_a_parent_chain_that_returns_to_its_file_is_a_usage_error(
     capsys, tmp_path, monkeypatch, command

@@ -669,6 +669,51 @@ def test_dual_quotient_takes_no_inverse(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[2, -1], [-1, 2]],
+        [[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]],
+        [["2", "-1/2"], ["-1/2", "3/4"]],
+        mat_inv([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+        [],
+    ],
+)
+def test_the_fraction_gram_is_built_on_first_read(gram):
+    lat = Lattice(gram)
+    assert "gram" not in vars(lat)
+    assert lat.gram == mat(gram)
+    assert all(type(x) is Q for row in lat.gram for x in row)
+    assert "gram" in vars(lat) and lat.gram is lat.gram
+
+
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        ([[1, 2], [3, 4]], "gram matrix must be symmetric"),
+        ([[Q(1, 2), 1], [Q(1, 3), 2]], "gram matrix must be symmetric"),
+        ([[2, 1], [1]], "gram matrix must be symmetric"),
+        ([[2], [1, 2]], "gram matrix must be symmetric"),
+        ([[1, 2], [2, 1]], "gram matrix is not positive definite"),
+        ([[Q(1, 2), 1], [1, Q(1, 2)]], "gram matrix is not positive definite"),
+        ([[0, 0], [0, 0]], "gram matrix is not positive definite"),
+    ],
+)
+def test_lattice_messages_are_unchanged(gram, message):
+    with pytest.raises(ValueError) as info:
+        Lattice(gram)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("entry", [Q(1, 2), "1/2", 0.5])
+def test_non_integer_rows_are_named_through_fraction(entry):
+    a2 = root_lattice("A", 2)
+    for f in (annihilator, is_rssd, quotient_invariants, dual_quotient_invariants):
+        with pytest.raises(ValueError) as info:
+            f(a2, [[entry, 0], [0, 1]])
+        assert str(info.value) == "sublattice has non-integer coordinate 1/2"
+
+
 def test_sqrt2_a_validation():
     with pytest.raises(ValueError, match="n >= 1"):
         sqrt2_a(0)

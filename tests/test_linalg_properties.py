@@ -8,7 +8,8 @@ kernel under the rational routines is also checked against the
 ``Fraction`` routes it replaced: sum-of-products matrix products and a
 ``Fraction`` Gauss-Jordan elimination, kept here as oracles; the flat
 enumeration loop is checked, order included, against the recursive
-generator it replaced.
+generator it replaced; and ``clear_denominators`` and ``int_mat``, which
+pass all-``int`` rows through, against their ``Fraction`` routes.
 """
 from fractions import Fraction as Q
 from itertools import permutations, product
@@ -21,16 +22,19 @@ from hypothesis import strategies as st
 
 from parafusion.codes import ambient_lattice, build_lattice, builtin_code
 from parafusion.lattices import Lattice, dual, rescale, root_lattice, sublattice
+import parafusion.linalg as linalg_mod
 from parafusion.linalg import (
     _branch_and_bound,
     _gauss_jordan,
     _hermite_with_transform,
     _levels,
+    clear_denominators,
     coset_minimum,
     det,
     enumerate_quadratic,
     hnf,
     identity,
+    int_mat,
     integer_row_kernel,
     mat_inv,
     mat_mul,
@@ -512,3 +516,77 @@ def test_lattice_layer_matches_the_fraction_routes_on_non_integral_grams():
         expected = sum_of_products(sum_of_products(b, lat.gram), list(zip(*b)))
         assert sublattice(lat, rows).gram == expected
         assert dual(lat).gram == oracle_inv(lat.gram)
+
+
+# --- the integer boundary: all-int rows pass through ---
+
+
+def oracle_clear_denominators(m):
+    """``clear_denominators`` as it was: every entry read as a ``Fraction``."""
+    rows = [[x if type(x) in (int, Q) else Q(x) for x in row] for row in m]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
+    )
+
+
+def oracle_int_mat(rows):
+    """``int_mat`` as it was: every entry read as a ``Fraction``."""
+    out = []
+    for row in rows:
+        converted = []
+        for x in row:
+            f = Q(x)
+            if f.denominator != 1:
+                raise ValueError(f"entry {x} is not an integer")
+            converted.append(f.numerator)
+        out.append(tuple(converted))
+    return tuple(out)
+
+
+mixed_entries = st.one_of(
+    small_ints, st.booleans(), sevenths, small_ints.map(str), sevenths.map(str)
+)
+
+
+@st.composite
+def boundary_matrices(draw):
+    """Up to 4 rows of up to 4 entries, ragged and empty ones included:
+    half all ``int``, half mixing ``int``, ``bool``, ``Fraction`` and ``str``."""
+    entries = small_ints if draw(st.booleans()) else mixed_entries
+    return draw(st.lists(st.lists(entries, max_size=4), max_size=4))
+
+
+@given(boundary_matrices())
+@example([])
+@example([[]])
+@example([[1, 2], [3]])
+@example([[True, 2], [False]])
+@example([[Q(4, 2), "6/3"]])
+@example([[1, "1/2"], [Q(1, 3)]])
+def test_the_integer_boundary_matches_the_fraction_routes(m):
+    s, cleared = clear_denominators(m)
+    assert (s, cleared) == oracle_clear_denominators(m)
+    assert all(type(x) is int for row in cleared for x in row)
+    try:
+        expected = oracle_int_mat(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            int_mat(m)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        got = int_mat(m)
+        assert got == expected
+        assert all(type(x) is int for row in got for x in row)
+
+
+@given(st.booleans(), st.booleans(), st.data())
+def test_a_product_scans_each_operand_once(a_frac, b_frac, data):
+    a = data.draw(kernel_matrices(3, 3, a_frac))
+    b = data.draw(kernel_matrices(3, 3, b_frac))
+    scanned = []
+    real = linalg_mod._is_int_mat
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "_is_int_mat", lambda m: scanned.append(m) or real(m))
+        assert mat_mul(a, b) == sum_of_products(a, b)
+    assert len(scanned) == 2
