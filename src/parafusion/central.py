@@ -283,7 +283,8 @@ def compose(after: Lift, first: Lift) -> Lift:
 
     Its eta is x -> eta_first(x) + eta_after(x first-bar), summed as
     diagonals and as polarizations."""
-    if after.lattice is not first.lattice and after.lattice.gram != first.lattice.gram:
+    a, b = after.lattice, first.lattice
+    if a is not b and (a._scale, a._int_gram) != (b._scale, b._int_gram):
         raise ValueError("lifts live on different lattices")
     base = mat_mul(first.base, after.base)
     moved = pullback(after.eta, first._rows)

@@ -170,11 +170,18 @@ def load_code(path: str):
     for field in ("p", "d", "generators"):
         if field not in payload:
             raise UsageError(f"{path}/{field}: missing")
-    for field in ("p", "d"):
+    for field, cap in (("p", codes_mod.MAX_P), ("d", codes_mod.MAX_D)):
         if type(payload[field]) is not int:
             raise UsageError(f"{path}/{field}: expected an integer, got {payload[field]!r}")
+        if payload[field] > cap:
+            raise UsageError(f"{path}/{field}: must be <= {cap}, got {payload[field]}")
     if not isinstance(payload["generators"], list):
         raise UsageError(f"{path}/generators: expected a list of bit rows")
+    if len(payload["generators"]) > codes_mod.MAX_GENERATORS:
+        raise UsageError(
+            f"{path}/generators: at most {codes_mod.MAX_GENERATORS} rows,"
+            f" got {len(payload['generators'])}"
+        )
     for i, g in enumerate(payload["generators"]):
         if not isinstance(g, list):
             raise UsageError(f"{path}/generators/{i}: expected a list of bits, got {g!r}")
@@ -188,7 +195,11 @@ def load_code(path: str):
 # a MemoryError.  On a 2-core x86 host: lift-order takes up to k sparse
 # (k-1)x(k-1) products, 0.4 s at k = 128; sigma-check and orbifold-table
 # keep k+2 operators of (k+2)^2 entries, 0.9-1.8 s and up to 103 MB at
-# k = 128; zk-check fuses all O(k^4) label pairs, 17 s at k = 64.
+# k = 128; zk-check fuses all O(k^4) label pairs, 17 s at k = 64.  Codes
+# are capped in ``codes`` at p <= 13, d <= 16 and 16 generators: lc-verify
+# on 16 random generators takes 0.9 s at p = 13, d = 1, 1.4 s and 77 MB at
+# d = 8, and 2.4 s and 132 MB at d = 16, but 8.3 s at p = 17, d = 1 (coset
+# minima in dimension 16); each generator past 16 doubles the codewords.
 MAX_LEVEL = 128
 MAX_ZK_LEVEL = 64
 

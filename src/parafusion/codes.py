@@ -3,11 +3,11 @@
 A codeword is d blocks of p-1 bits; each block u names the coset
 (1/2)beta(u) + sqrt(2)A_{p-1}.  The code's mod-2 space is one
 ``F2QuadraticForm`` on codewords packed once (``linalg``'s F2 section).
-Coset weights come from exact closest-vector enumeration.  The glued
-lattice L_C and the p = 5 case study (weight-4 word classification, with
-an orbit oracle that takes one pass per orbit; the glue discriminant form;
-the pair of sqrt(2)E8 sublattices whose involutions compose to the
-block-cycling isometry) all live here.
+Coset weights come from exact closest-vector enumeration, kept doubled
+as ``int``s.  The glued lattice L_C and the p = 5 case study (weight-4
+word classification, with an orbit oracle that takes one pass per orbit;
+the glue discriminant form; the pair of sqrt(2)E8 sublattices whose
+involutions compose to the block-cycling isometry) all live here.
 
 Internal coordinates: the ambient lattice is ((1/2)N)^d with N the
 doubled A_{p-1} block, so codeword bits are literally coordinates and
@@ -39,6 +39,7 @@ from .lattices import (
     sublattice,
 )
 from .linalg import (
+    clear_denominators,
     coset_minimum,
     enumerate_quadratic,
     f2_echelon,
@@ -47,8 +48,7 @@ from .linalg import (
     f2_span,
     f2_unpack,
     hnf,
-    identity,
-    mat,
+    int_identity,
     mat_eq,
     mat_inv,
     mat_mul,
@@ -56,11 +56,17 @@ from .linalg import (
     mat_scale,
     mat_sub,
     row_mul,
+    transpose,
     vec,
 )
 
 Q = Fraction
 Bits = tuple[int, ...]
+
+# Caps on a code, timed beside cli.MAX_LEVEL: the battery's cost grows with p
+# (coset minima in dimension p - 1), with the rank (p - 1)·d of the ambient
+# lattice and with the 2^dim codewords, dim <= the number of generators.
+MAX_P, MAX_D, MAX_GENERATORS = 13, 16, 16
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,15 @@ class Code:
             raise ValueError(f"p must be odd and >= 3, got {self.p}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
+        for name, value, cap in (("p", self.p, MAX_P), ("d", self.d, MAX_D)):
+            if value > cap:
+                raise ValueError(f"{name} must be <= {cap}, got {value}")
         n = (self.p - 1) * self.d
         try:
-            gens = tuple(tuple(g) for g in self.generators)
+            gens = tuple(self.generators)
+            if len(gens) > MAX_GENERATORS:
+                raise ValueError(f"at most {MAX_GENERATORS} generators, got {len(gens)}")
+            gens = tuple(map(tuple, gens))
         except TypeError:
             raise ValueError("generators must be a list of bit rows") from None
         for i, g in enumerate(gens):
@@ -106,7 +118,7 @@ class Code:
 
 @lru_cache(maxsize=None)
 def _cartan(p: int):
-    return root_lattice("A", p - 1).gram
+    return root_lattice("A", p - 1)._int_gram
 
 
 def _block_diagonal(block: Sequence[Sequence], d: int) -> tuple:
@@ -184,35 +196,31 @@ def span(code: Code) -> tuple[Bits, ...]:
 
 @lru_cache(maxsize=None)
 def _block_gram(p: int):
-    """Gram of sqrt(2)A_{p-1}, the lattice under each block's cosets."""
-    return sqrt2_a(p - 1).gram
+    """Twice the Gram 2A of sqrt(2)A_{p-1}, the lattice under each block's cosets:
+    it doubles their norms, to integers, as (u/2)·4A·(u/2)^T = uAu^T is one."""
+    return mat_scale(sqrt2_a(p - 1)._int_gram, 2)
 
 
 @lru_cache(maxsize=None)
-def _block_norm_counts(p: int, block: Bits, bound: Fraction) -> dict[Fraction, int]:
-    """Exact {norm: count} over the vectors of norm <= bound in the coset
+def _block_norm_counts(p: int, block: Bits, bound: int) -> Counter:
+    """{2·norm: count} over the vectors of norm <= bound/2 in the coset
     (1/2)beta(block) + sqrt(2)A_{p-1}."""
     shift = vec(Q(b, 2) for b in block)
-    counts: dict[Fraction, int] = {}
-    for _, norm in enumerate_quadratic(_block_gram(p), bound, center=shift):
-        counts[norm] = counts.get(norm, 0) + 1
-    return counts
+    return Counter(int(n) for _, n in enumerate_quadratic(_block_gram(p), bound, shift))
 
 
 @lru_cache(maxsize=None)
-def _block_coset_data(p: int, block: Bits):
-    """Exact (min_norm, minimizer_count, norm_counts up to 4) for the coset
-    (1/2)beta(block) + sqrt(2)A_{p-1}."""
-    mn, mins = coset_minimum(_block_gram(p), vec(Q(b, 2) for b in block))
-    return mn, len(mins), _block_norm_counts(p, block, Q(4))
+def _block_min(p: int, block: Bits) -> int:
+    """Twice the minimal norm of the coset (1/2)beta(block) + sqrt(2)A_{p-1}."""
+    return int(coset_minimum(_block_gram(p), vec(Q(b, 2) for b in block))[0])
 
 
 def codeword_weight(code: Code, word: Bits) -> int:
     """Sum over blocks of the minimal coset norm; an exact integer here."""
-    total = sum(_block_coset_data(code.p, b)[0] for b in code.blocks(word))
-    if total.denominator != 1:
-        raise AssertionError(f"non-integral weight {total}")
-    return int(total)
+    twice = sum(_block_min(code.p, b) for b in code.blocks(word))
+    if twice % 2:
+        raise AssertionError(f"non-integral weight {Q(twice, 2)}")
+    return twice // 2
 
 
 @dataclass(frozen=True)
@@ -270,15 +278,24 @@ def nu_ambient_matrix(code: Code):
     return _block_diagonal(coxeter_nu(code.p), code.d)
 
 
+@lru_cache(maxsize=None)
+def _nu_pairing(code: Code):
+    """(s, nu·g), g = s·G the ambient's cleared Gram: <x, x·nu> = x(nu·g)x^T/s."""
+    amb = ambient_lattice(code)
+    return amb._scale, mat_mul(nu_ambient_matrix(code), amb._int_gram)
+
+
 def classify_word(code: Code, word: Bits) -> str:
     """Type of a weight-4 word in the p=5, d=4 configuration."""
     if (code.p, code.d) != (5, 4):
         raise ValueError("classification is defined for p=5, d=4")
-    minima = sorted(_block_coset_data(code.p, b)[0] for b in code.blocks(word))
-    if sum(minima) != 4:
+    minima = sorted(_block_min(code.p, b) for b in code.blocks(word))
+    if sum(minima) != 8:
         raise ValueError("classification applies to weight-4 words")
-    nu_word = row_mul(word, nu_ambient_matrix(code))
-    key = (tuple(map(int, minima)), ambient_lattice(code).inner(word, nu_word))
+    s, form = _nu_pairing(code)
+    nz = [(i, x) for i, x in enumerate(word) if x]
+    pairing = sum(x * y * form[i][j] for i, x in nz for j, y in nz)
+    key = (tuple(m // 2 for m in minima), Q(pairing, s))
     if key not in _TYPE_KEYS:
         raise ValueError(f"unclassifiable weight-4 word {word}: invariant {key}")
     return _TYPE_KEYS[key]
@@ -381,39 +398,52 @@ def build_lattice(code: Code) -> BuiltLattice:
 
 @lru_cache(maxsize=None)
 def _basis_inverse(built: BuiltLattice):
-    """Inverse of the glued lattice's basis over the ambient coordinates."""
-    return mat_inv(mat(built.basis))
+    """(s, s·B^{-1}) for B the glued lattice's basis over the ambient coordinates."""
+    return clear_denominators(mat_inv(built.basis))
+
+
+def _in_lattice(built: BuiltLattice, rows):
+    """Ambient rows in the glued lattice's own coordinates, rows·B^{-1};
+    the integral entries are ``int``s."""
+    s, b_inv = _basis_inverse(built)
+    m = mat_mul(rows, b_inv)
+    return tuple(tuple(Q(e, s) if e % s else e // s for e in row) for row in m)
+
+
+@lru_cache(maxsize=None)
+def _nu_coords(built: BuiltLattice):
+    """B·nu·B^{-1}, over ``int``: nu in the glued lattice's own coordinates."""
+    m = _in_lattice(built, mat_mul(built.basis, nu_ambient_matrix(built.code)))
+    if any(e.denominator != 1 for row in m for e in row):
+        raise ValueError("code is not invariant: nu does not preserve the lattice")
+    return m
 
 
 @lru_cache(maxsize=None)
 def nu_in_lattice(built: BuiltLattice):
     """The block-cycling isometry in the glued lattice's own coordinates."""
-    b = mat(built.basis)
-    nu = mat(nu_ambient_matrix(built.code))
-    m = mat_mul(mat_mul(b, nu), _basis_inverse(built))
-    if any(e.denominator != 1 for row in m for e in row):
-        raise ValueError("code is not invariant: nu does not preserve the lattice")
-    Isometry(m, built.lattice)
-    return m
+    return Isometry(_nu_coords(built), built.lattice).matrix
 
 
 def shell_count_by_cosets(code: Code, norm) -> int:
     """Number of vectors of the given norm in the glued lattice, by
-    convolving exact per-block coset norm counts over all codewords."""
-    norm = Q(norm)
+    convolving per-block counts of doubled coset norms, all ``int``s, over
+    all codewords."""
+    twice = 2 * Q(norm)
+    bound = int(twice)  # no sum of doubled norms hits a non-integral twice
     total = 0
     for w in span(code):
-        poly = {Q(0): 1}
+        poly = {0: 1}
         for b in code.blocks(w):
-            counts = _block_norm_counts(code.p, b, norm)
-            nxt: dict[Fraction, int] = {}
+            counts = _block_norm_counts(code.p, b, bound).items()
+            nxt: dict[int, int] = {}
             for acc, c1 in poly.items():
-                for block_norm, c2 in counts.items():
+                for block_norm, c2 in counts:
                     s = acc + block_norm
-                    if s <= norm:
+                    if s <= bound:
                         nxt[s] = nxt.get(s, 0) + c1 * c2
             poly = nxt
-        total += poly.get(norm, 0)
+        total += poly.get(twice, 0)
     return total
 
 
@@ -448,23 +478,23 @@ class GlueFormReport:
 
 def glue_form_report(built: BuiltLattice) -> GlueFormReport:
     """Discriminant data of the glued lattice through the named glue
-    vectors: dual membership, the mod-p pairing matrix, and q-values."""
+    vectors: dual membership, the mod-p pairing matrix, and q-values.
+    The glue vector r·B^{-1} pairs with the lattice's basis by r·G·B^T and
+    with r'·B^{-1} by r·G·r'^T, G the ambient Gram: no inverse is taken."""
     p = built.code.p
-    lat = built.lattice
-    b_inv = _basis_inverse(built)
-    lam_rows = mat_mul(glue_vector_rows(built.code), b_inv)
-    if any(e.denominator != 1 for row in mat_mul(lam_rows, lat.gram) for e in row):
+    t, r = clear_denominators(glue_vector_rows(built.code))
+    rg = mat_mul(r, built.ambient._int_gram)
+    scale = t * built.ambient._scale  # r·G·x^T = rg·x^T / scale for rows x
+    if any(e % scale for row in mat_mul(rg, transpose(built.basis)) for e in row):
         raise AssertionError("glue vector is not in the dual lattice")
-    disc = discriminant_group(lat)
+    disc = discriminant_group(built.lattice)
     f_rows = []
     q_vals = []
     q2_vals = []
-    for li in lam_rows:
-        f_rows.append(
-            tuple(p * lat.inner(li, lj) for lj in lam_rows)
-        )
-        qv = Q(p, 2) * lat.inner(li, li)
-        q2 = Q(p, 2) * lat.inner(tuple(2 * e for e in li), tuple(2 * e for e in li))
+    for i, row in enumerate(mat_mul(rg, transpose(r))):
+        f_rows.append(tuple(Q(p * e, t * scale) for e in row))
+        qv = Q(p * row[i], 2 * t * scale)
+        q2 = Q(p * 4 * row[i], 2 * t * scale)  # 2r: four times the norm
         if qv.denominator != 1 or q2.denominator != 1:
             raise AssertionError("q-values must be integral")
         q_vals.append(int(qv) % p)
@@ -489,22 +519,18 @@ def glue_form_report(built: BuiltLattice) -> GlueFormReport:
 
 
 def one_minus_nu_dual_equals_lattice(built: BuiltLattice) -> bool:
-    """Whether (1 - nu) maps the dual lattice onto the lattice itself."""
+    """Whether (1 - nu) maps the dual lattice onto the lattice itself: the
+    dual has basis G^{-1}, so whether G^{-1}(1 - nu) is unimodular, that
+    is whether s(1 - nu)^T and g = sG have one row lattice (one HNF)."""
     lat = built.lattice
-    n = lat.rank
-    m = nu_in_lattice(built)
-    image_rows = mat_mul(mat_inv(lat.gram), mat_sub(identity(n), m))
-    return same_lattice(image_rows, identity(n))
+    one_minus_nu = mat_sub(int_identity(lat.rank), _nu_coords(built))
+    return hnf(mat_scale(transpose(one_minus_nu), lat._scale)) == hnf(lat._int_gram)
 
 
 def nu_orbit_sublattice(built: BuiltLattice, word: Bits) -> Lattice:
     """Sublattice spanned by the block-cycling orbit of a codeword vector."""
-    nu = mat(nu_ambient_matrix(built.code))
-    rows = []
-    v = vec(word)
-    for _ in range(built.code.p - 1):
-        rows.append(v)
-        v = row_mul(v, nu)
+    nu = nu_ambient_matrix(built.code)
+    rows = [row_mul(word, mat_pow(nu, a)) for a in range(built.code.p - 1)]
     return sublattice(built.ambient, rows)
 
 
@@ -614,15 +640,13 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
         failures.append("M intersect M' nonzero")
 
     # Involutions: coordinates of M and M' over the glued lattice.
-    b_inv = _basis_inverse(built)
-    m_in_lc, mp_in_lc = mat_mul(m_rows, b_inv), mat_mul(mprime_rows, b_inv)
+    m_in_lc, mp_in_lc = _in_lattice(built, m_rows), _in_lattice(built, mprime_rows)
     for rows in (m_in_lc, mp_in_lc):
         if any(e.denominator != 1 for r in rows for e in r):
             failures.append("E8 member not inside the glued lattice")
     t_m = rssd_involution(built.lattice, m_in_lc).matrix
     t_mp = rssd_involution(built.lattice, mp_in_lc).matrix
-    nu_lc = nu_in_lattice(built)
-    if not mat_eq(mat_mul(t_mp, t_m), mat(nu_lc)):
+    if not mat_eq(mat_mul(t_mp, t_m), nu_in_lattice(built)):
         failures.append("t_M t_M' != nu")
 
     return EE8Report(

@@ -522,3 +522,17 @@ def test_the_lift_calculus_reads_only_the_int_gram():
         assert "gram" not in vars(lat)
         assert c_nu_radical(lat, coxeter_nu(k), k) == int_identity(k - 1)
         assert "gram" not in vars(lat)
+
+
+def test_compose_across_lattice_objects_reads_only_the_int_grams():
+    # Lifts on two Lattice objects with one Gram compose without building
+    # either Fraction Gram; lifts on distinct Grams are refused.
+    a, b = sqrt2_a(4), sqrt2_a(4)
+    lf_a = lift(coxeter_nu(5), a, standard_epsilon(a), diagonal=[1, 0, 0, 1])
+    lf_b = lift(coxeter_nu(5), b, standard_epsilon(b), diagonal=[1, 0, 0, 1])
+    assert lifts_equal(compose(lf_a, lf_b), compose(lf_a, lf_a))
+    assert "gram" not in vars(a) and "gram" not in vars(b)
+    c = rescale(a, 2)
+    lf_c = lift(coxeter_nu(5), c, standard_epsilon(c))
+    with pytest.raises(ValueError, match="lifts live on different lattices"):
+        compose(lf_c, lf_a)

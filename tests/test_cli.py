@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 import parafusion.cli as cli_mod
+import parafusion.codes as codes_mod
 from parafusion.cli import main
 
 
@@ -491,6 +492,44 @@ def test_lc_verify_malformed_code_fields_exit_two(capsys, tmp_path, payload, whe
     assert err.startswith(f"error: {path}{where}:")
 
 
+CAP_P, CAP_D, CAP_GENS = codes_mod.MAX_P, codes_mod.MAX_D, codes_mod.MAX_GENERATORS
+
+
+@pytest.mark.parametrize(
+    "payload, where, message",
+    [
+        ({"p": CAP_P + 2, "d": 1, "generators": []}, "/p",
+         f"must be <= {CAP_P}, got {CAP_P + 2}"),
+        ({"p": 3, "d": CAP_D + 1, "generators": []}, "/d",
+         f"must be <= {CAP_D}, got {CAP_D + 1}"),
+        ({"p": 3, "d": 1, "generators": [[0, 0]] * (CAP_GENS + 1)}, "/generators",
+         f"at most {CAP_GENS} rows, got {CAP_GENS + 1}"),
+    ],
+)
+def test_lc_verify_code_past_a_cap_exit_two_before_any_work(
+    capsys, tmp_path, monkeypatch, payload, where, message
+):
+    # Nothing may be built, not even the Code: its span and Grams come later.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a code past its cap")
+
+    for name in ("Code", "code_properties", "build_lattice"):
+        monkeypatch.setattr(codes_mod, name, refuse)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "lc-verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}{where}: {message}\n"
+
+
+def test_load_code_accepts_a_code_at_every_cap(tmp_path):
+    row = [0] * ((CAP_P - 1) * CAP_D)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"p": CAP_P, "d": CAP_D, "generators": [row] * CAP_GENS}))
+    code = cli_mod.load_code(str(path))
+    assert (code.p, code.d, len(code.generators)) == (CAP_P, CAP_D, CAP_GENS)
+
+
 @pytest.mark.parametrize(
     "argv, minimum",
     [
@@ -545,11 +584,19 @@ def test_lattice_level_above_maximum_exit_two(capsys, monkeypatch, command):
          "139486b6857b79a4acba9d0e2ddc00280f1cb98d42cadab9ebe403ad02a69857"),
         (["zk-check", "-k", "20", "--format", "json"],
          "64c974ba772dcdc7c580ce5e9beafde22f58beb5ed03592f54326b3a82a80cf9"),
+        (["lc-verify", "--builtin", "5B"],
+         "36ded5d4b2adbc992951a53dc4b131da9c458b9509678f19f9e680334027a565"),
+        (["lc-verify", "--builtin", "5B", "--format", "json"],
+         "c47f4315e48311c126b3cd9c70dc1b57ffb6b3c9b58b6d350fcfd49e8f516e0c"),
+        (["lc-verify", str(resources.files("parafusion") / "golden/code_5b.json"),
+          "--format", "json"],
+         "5870b44900909514a66ff4c99dd24420c3d388b3289a3fb7a15cf48ca9b4d6eb"),
     ],
 )
-def test_output_bytes_pinned_where_repr_order_differs_from_index_order(capsys, argv, digest):
-    # Terms print in repr order: at k >= 20, W[10,0] sorts before W[8,0]
-    # and M[10,.] before M[2,.], unlike the integer order of the basis.
+def test_output_bytes_pinned(capsys, argv, digest):
+    # Orbifold terms print in repr order: at k >= 20, W[10,0] sorts before
+    # W[8,0] and M[10,.] before M[2,.], unlike the integer order of the
+    # basis.  The lc-verify runs pin the 5B battery's report.
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

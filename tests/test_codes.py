@@ -96,6 +96,20 @@ def test_code_validation():
         load_code({"p": 5, "d": 4})  # missing generators
 
 
+def test_code_caps_hold_at_the_cap_and_refuse_one_past_it():
+    cap_p, cap_d, cap_gens = codes_mod.MAX_P, codes_mod.MAX_D, codes_mod.MAX_GENERATORS
+    row = (0,) * ((cap_p - 1) * cap_d)
+    assert len(Code(p=cap_p, d=cap_d, generators=(row,) * cap_gens).generators) == cap_gens
+    too_many = ((0, 0),) * (cap_gens + 1)
+    for p, d, gens, message in (
+        (cap_p + 2, 1, (), f"p must be <= {cap_p}, got {cap_p + 2}"),
+        (3, cap_d + 1, (), f"d must be <= {cap_d}, got {cap_d + 1}"),
+        (3, 1, too_many, f"at most {cap_gens} generators, got {cap_gens + 1}"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Code(p=p, d=d, generators=gens)
+
+
 def test_load_code_rejects_generators_that_are_not_bit_rows():
     for generators in (5, [5], [[1, 0], 5]):
         with pytest.raises(ValueError, match="list of bit rows"):
