@@ -96,6 +96,8 @@ def _parse_entry(x, where: str) -> Fraction:
 def _parse_matrix(rows, where: str, width: int | None = None):
     if not isinstance(rows, list) or not rows:
         raise UsageError(f"{where}: expected a non-empty list of rows")
+    if len(rows) > MAX_RANK:
+        raise UsageError(f"{where}: at most {MAX_RANK} rows, got {len(rows)}")
     if width is None and not isinstance(rows[0], list):
         raise UsageError(f"{where}/0: expected a row (a list of entries)")
     n = width if width is not None else len(rows[0])
@@ -200,7 +202,11 @@ def load_code(path: str):
 # on 16 random generators takes 0.9 s at p = 13, d = 1, 1.4 s and 77 MB at
 # d = 8, and 2.4 s and 132 MB at d = 16, but 8.3 s at p = 17, d = 1 (coset
 # minima in dimension 16); each generator past 16 doubles the codewords.
+# A lattice JSON gram or basis has at most 64 rows: lattice-info takes 0.6 s
+# on a dense rank-64 Gram B·B^T + I (B in [-3, 3]), 1.4 s on a sublattice of
+# it, and 6.7 s and 23 s at rank 96.
 MAX_LEVEL = 128
+MAX_RANK = 64
 MAX_ZK_LEVEL = 64
 
 

@@ -296,9 +296,9 @@ def classify_word(code: Code, word: Bits) -> str:
     nz = [(i, x) for i, x in enumerate(word) if x]
     pairing = sum(x * y * form[i][j] for i, x in nz for j, y in nz)
     key = (tuple(m // 2 for m in minima), Q(pairing, s))
-    if key not in _TYPE_KEYS:
+    if (kind := _TYPE_KEYS.get(key)) is None:
         raise ValueError(f"unclassifiable weight-4 word {word}: invariant {key}")
-    return _TYPE_KEYS[key]
+    return kind
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,9 @@ Q = Fraction
 class Lattice:
     """Positive-definite lattice given by an exact rational Gram matrix.
 
-    Its denominators are cleared once, into gram = _int_gram / _scale; every
-    check runs over ``int`` on that pair, and ``gram`` is built on first read."""
+    Its denominators are cleared once, into gram = _int_gram / _scale in
+    lowest terms; every routine here reads that pair over ``int``, and the
+    ``Fraction`` ``gram`` is built only on a first outside read."""
 
     def __init__(self, gram: Sequence[Sequence]):
         self._scale, self._int_gram = clear_denominators(gram)
@@ -101,13 +102,14 @@ class Lattice:
 
 def sublattice(parent: Lattice, basis_rows: Sequence[Sequence]) -> Lattice:
     """Lattice spanned by the given coordinate rows over the parent."""
-    b = mat(basis_rows)
-    return Lattice(mat_mul(mat_mul(b, parent.gram), transpose(b)))
+    t, b = clear_denominators(basis_rows)
+    g = mat_mul(mat_mul(b, parent._int_gram), transpose(b))
+    return Lattice(mat_scale(g, Q(1, t * t * parent._scale)))
 
 
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice, with basis gram^{-1} in the original coordinates."""
-    return Lattice(mat_inv(lat.gram))
+    return Lattice(mat_scale(mat_inv(lat._int_gram), lat._scale))
 
 
 def rescale(lat: Lattice, c) -> Lattice:
@@ -115,18 +117,13 @@ def rescale(lat: Lattice, c) -> Lattice:
     c = Q(c)
     if c <= 0:
         raise ValueError(f"scale must be positive, got {c}")
-    return Lattice(mat_scale(lat.gram, c))
+    return Lattice(mat_scale(lat._int_gram, c / lat._scale))
 
 
 def tensor(a: Lattice, b: Lattice) -> Lattice:
     """Tensor product lattice; Gram is the Kronecker product."""
-    na, nb = a.rank, b.rank
-    g = [
-        [a.gram[i][k] * b.gram[j][l] for k in range(na) for l in range(nb)]
-        for i in range(na)
-        for j in range(nb)
-    ]
-    return Lattice(g)
+    g = [[x * y for x in ra for y in rb] for ra in a._int_gram for rb in b._int_gram]
+    return Lattice(mat_scale(g, Q(1, a._scale * b._scale)))
 
 
 def tensor_vector(x: Sequence, y: Sequence) -> tuple:
@@ -326,9 +323,9 @@ def shell(lat: Lattice, norm) -> list[tuple[int, ...]]:
     if norm < 0:
         raise ValueError(f"norm must be >= 0, got {norm}")
     if lat.rank <= 4:
-        return shell_vectors(lat.gram, norm)
-    g2, u = size_reduce_basis(lat.gram)
-    vecs = shell_vectors(g2, norm)
+        return shell_vectors(lat._int_gram, norm * lat._scale)
+    g2, u = size_reduce_basis(lat._int_gram)
+    vecs = shell_vectors(g2, norm * lat._scale)
     if u == int_identity(lat.rank):
         return vecs
     cols = tuple(zip(*u))
@@ -337,7 +334,7 @@ def shell(lat: Lattice, norm) -> list[tuple[int, ...]]:
 
 def coset_min_norm(lat: Lattice, shift: Sequence) -> Fraction:
     """Minimal norm over the coset shift + L."""
-    return coset_minimum(lat.gram, vec(shift))[0]
+    return coset_minimum(lat._int_gram, vec(shift))[0] / lat._scale
 
 
 def coxeter_nu(k: int) -> linalg.IntMat:
@@ -479,7 +476,7 @@ def r_cap_p_dual_index(root: Lattice, p: int) -> int:
         raise ValueError(f"p must be odd and >= 3, got {p}")
     n = root.rank
     t_rows = lattice_intersection(
-        identity(n), mat_scale(mat_inv(root.gram), p)
+        identity(n), mat_scale(mat_inv(root._int_gram), p * root._scale)
     )
     p_rows = mat_scale(identity(n), p)
     trans = mat_mul(p_rows, mat_inv(t_rows))
@@ -496,7 +493,7 @@ def reflection(root_lat: Lattice, root: Sequence) -> Isometry:
     if root_lat.norm(r) != 2:
         raise ValueError(f"reflection needs a norm-2 vector, got norm {root_lat.norm(r)}")
     n = root_lat.rank
-    pair = row_mul(r, root_lat.gram)  # <e_i, root> as i varies
+    pair = [x / root_lat._scale for x in row_mul(r, root_lat._int_gram)]  # <e_i, root>
     rows = []
     for i in range(n):
         rows.append(

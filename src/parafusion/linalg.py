@@ -638,13 +638,14 @@ def coset_minimum(gram: Mat, shift: Vec) -> tuple[Fraction, list[tuple[int, ...]
 
 def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
     """Greedy pairwise size reduction; returns (new_gram, U) with U rows
-    expressing the new basis in the old one.
+    expressing the new basis in the old one, new_gram typed as ``mat_mul``
+    (``int`` for an all-``int`` Gram, else ``Fraction``).
 
     Runs on the cleared ``int`` Gram, as scaling changes no rounding or
     comparison.  Enough to tame HNF bases before enumeration; not LLL.
     """
     n = len(gram)
-    s, cleared = clear_denominators(gram)
+    int_in, s, cleared = _cleared(gram)
     g = [list(row) for row in cleared]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -673,6 +674,6 @@ def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
                     changed = True
         # Reorder by ascending norm for better enumeration pivots.
     order = sorted(range(n), key=lambda i: g[i][i])
-    g2 = tuple(tuple(Fraction(g[i][j], s) for j in order) for i in order)
+    g2 = tuple(tuple(g[i][j] for j in order) for i in order)
     u2 = tuple(tuple(u[i]) for i in order)
-    return g2, u2
+    return (g2 if int_in else mat_scale(g2, Fraction(1, s))), u2

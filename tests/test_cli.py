@@ -617,6 +617,40 @@ def test_ring_level_cap_by_parsing_only(capsys, command, cap):
     assert f"level {cap + 1}: need k <= {cap}" in capsys.readouterr().err
 
 
+class Built(Exception):
+    """Raised by a stub that stands in for building a lattice."""
+
+
+@pytest.mark.parametrize(
+    "field, stubbed",
+    [("gram", "Lattice"), ("basis", "sublattice")],
+)
+def test_lattice_json_rank_cap_by_parsing_only(
+    capsys, tmp_path, monkeypatch, field, stubbed
+):
+    # At the cap the file parses and reaches the stub; one row past it is a
+    # usage error before any lattice of that rank is built.
+    def refuse(*args):
+        raise Built
+
+    monkeypatch.setattr(cli_mod, stubbed, refuse)
+    cap = cli_mod.MAX_RANK
+    path = tmp_path / "lattice.json"
+    for rows in (cap, cap + 1):
+        if field == "gram":
+            payload = {"gram": [[2 * (i == j) for j in range(rows)] for i in range(rows)]}
+        else:
+            payload = {"parent": {"gram": [[2, -1], [-1, 2]]}, "basis": [[1, 0]] * rows}
+        path.write_text(json.dumps(payload))
+        if rows == cap:
+            with pytest.raises(Built):
+                main(["lattice-info", str(path)])
+        else:
+            code, out, err = run(capsys, "lattice-info", str(path))
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}/{field}: at most {cap} rows, got {cap + 1}\n"
+
+
 def golden_dir_with(tmp_path, name, edit):
     """A copy of the u5a golden files in which ``edit`` rewrites ``name``."""
     for f in ("u5a_orbits.json", "u5a_weights.json", "u5a_fusion.json"):

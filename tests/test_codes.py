@@ -305,6 +305,12 @@ def test_classify_word_validation():
     code = builtin_code("5B")
     with pytest.raises(ValueError):
         classify_word(code, (0,) * 16)  # weight 0, not 4
+    word = (1, 0, 1, 0, 1, 0, 0, 0, 1) + (0,) * 7  # weight 4, not a known type
+    with pytest.raises(ValueError) as info:
+        classify_word(code, word)
+    assert str(info.value) == (
+        f"unclassifiable weight-4 word {word}: invariant ((0, 1, 1, 2), Fraction(-5, 2))"
+    )
     small = Code(p=3, d=2, generators=((1, 1, 1, 1),))
     with pytest.raises(ValueError):
         classify_word(small, (1, 1, 1, 1))
@@ -447,6 +453,21 @@ def test_ee8_pair_report():
     assert len(rep.m_rows) == 8  # rank-8 member inside the rank-16 ambient
     assert len(rep.mprime_rows) == 8
     assert all(len(r) == 16 for r in rep.m_rows)
+
+
+def test_the_5b_battery_never_builds_a_fraction_gram():
+    # Every routine reads the cleared int pair; the public Fraction gram is
+    # built on a first outside read only, so none of these builds it.
+    codes_mod.ambient_lattice.cache_clear()
+    code = builtin_code("5B")
+    assert code_properties(code).self_orthogonal
+    built = build_lattice(code)
+    assert glue_form_report(built).passed
+    assert one_minus_nu_dual_equals_lattice(built)
+    assert classify_weight4(code) == orbit_classification(code)
+    assert build_ee8_pair(built).passed
+    for lat in (built.ambient, built.lattice):
+        assert "gram" not in vars(lat)
 
 
 def test_span_is_group():

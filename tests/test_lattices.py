@@ -687,6 +687,15 @@ def test_the_fraction_gram_is_built_on_first_read(gram):
     assert "gram" in vars(lat) and lat.gram is lat.gram
 
 
+def test_shell_and_sublattice_never_build_a_fraction_gram():
+    a2_dual = dual(root_lattice("A", 2))
+    assert len(shell(a2_dual, Q(2, 3))) == 6
+    sub = sublattice(a2_dual, [[1, 1], [Q(1, 2), 2]])
+    assert all(sub.norm(v) == 2 for v in shell(sub, 2))
+    for lat in (a2_dual, sub):
+        assert "gram" not in vars(lat)
+
+
 @pytest.mark.parametrize(
     "gram, message",
     [
@@ -717,3 +726,121 @@ def test_non_integer_rows_are_named_through_fraction(entry):
 def test_sqrt2_a_validation():
     with pytest.raises(ValueError, match="n >= 1"):
         sqrt2_a(0)
+
+
+# --- the int routes against the Fraction routes they replace ---
+# Each oracle reads the public Fraction gram, as these routines once did.
+
+
+def oracle_shell(lat, norm):
+    norm = Q(norm)
+    if lat.rank <= 4:
+        return linalg.shell_vectors(lat.gram, norm)
+    g2, u = linalg.size_reduce_basis(lat.gram)
+    vecs = linalg.shell_vectors(g2, norm)
+    if u == linalg.int_identity(lat.rank):
+        return vecs
+    cols = tuple(zip(*u))
+    return [tuple(sum(a * b for a, b in zip(x, col)) for col in cols) for x in vecs]
+
+
+def oracle_coset_min_norm(lat, shift):
+    return linalg.coset_minimum(lat.gram, linalg.vec(shift))[0]
+
+
+def oracle_sublattice(parent, rows):
+    b = mat(rows)
+    return Lattice(mat_mul(mat_mul(b, parent.gram), transpose(b)))
+
+
+def oracle_dual(lat):
+    return Lattice(mat_inv(lat.gram))
+
+
+def oracle_rescale(lat, c):
+    return Lattice(linalg.mat_scale(lat.gram, Q(c)))
+
+
+def oracle_tensor(a, b):
+    return Lattice(kron(a.gram, b.gram))
+
+
+def typed(m):
+    return [[(type(x), x) for x in row] for row in m]
+
+
+def assert_same_lattice(got, want):
+    """Equal cleared pairs and public grams, entry types included."""
+    assert (type(got._scale), got._scale) == (type(want._scale), want._scale)
+    assert typed(got._int_gram) == typed(want._int_gram)
+    assert typed(got.gram) == typed(want.gram)
+
+
+@st.composite
+def rational_grams(draw, max_rank=6):
+    """Positive-definite A·M·A/d for M = B·B^T + I (B in [-1, 1]) and A a
+    diagonal of 1, 1/2 or 1/3: mixed denominators, most scales above 1."""
+    n = draw(st.integers(1, max_rank))
+    b = [draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)) for _ in range(n)]
+    a = draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=n, max_size=n))
+    d = draw(st.sampled_from((1, 2, 3)))
+    return [
+        [Q(sum(x * y for x, y in zip(b[i], b[j])) + (i == j), d * a[i] * a[j])
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def rational_rows(n, count):
+    return st.lists(
+        st.lists(small_rationals, min_size=n, max_size=n), min_size=count, max_size=count
+    )
+
+
+@st.composite
+def shell_cases(draw):
+    """A Gram, a norm that may hit no vector, and a coset shift."""
+    gram = draw(rational_grams())
+    return gram, draw(small_rationals.map(abs)), draw(rational_rows(len(gram), 1))[0]
+
+
+# Rank 6 at scale 3, skewed so that size reduction moves the basis (U != I).
+SKEW = [[int(i == j) + 2 * (j == i + 1) for j in range(6)] for i in range(6)]
+SKEWED_RANK_6 = linalg.mat_scale(
+    mat_mul(mat_mul(SKEW, root_lattice("E", 6).gram), transpose(SKEW)), Q(1, 3)
+)
+
+
+@given(shell_cases())
+@example((SKEWED_RANK_6, Q(2, 3), [Q(1, 2)] * 6))
+def test_shell_and_coset_minimum_match_the_fraction_routes(case):
+    gram, norm, shift = case
+    lat = Lattice(gram)
+    for t in sorted({Q(0), norm, min(lat.norm(e) for e in identity(lat.rank))}):
+        got = shell(lat, t)
+        assert got == oracle_shell(lat, t)
+        assert {type(x) for v in got for x in v} <= {int}
+    got = coset_min_norm(lat, shift)
+    want = oracle_coset_min_norm(lat, shift)
+    assert (type(got), got) == (type(want), want)
+
+
+@given(rational_grams(), st.data())
+def test_derived_lattices_match_the_fraction_routes(gram, data):
+    lat = Lattice(gram)
+    n = lat.rank
+    assert_same_lattice(dual(lat), oracle_dual(lat))
+    c = data.draw(small_rationals.filter(bool).map(abs), label="c")
+    assert_same_lattice(rescale(lat, c), oracle_rescale(lat, c))
+    other = Lattice(data.draw(rational_grams(max_rank=2), label="other"))
+    assert_same_lattice(tensor(lat, other), oracle_tensor(lat, other))
+    count = data.draw(st.integers(0, n), label="count")
+    rows = data.draw(rational_rows(n, count), label="rows")
+    try:
+        want = oracle_sublattice(lat, rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            sublattice(lat, rows)
+        assert str(info.value) == str(exc)
+    else:
+        assert_same_lattice(sublattice(lat, rows), want)

@@ -325,6 +325,11 @@ def test_size_reduce_preserves_lattice():
     assert abs(det(mat(u))) == 1
     rebuilt = mat_mul(mat_mul(mat(u), g), transpose(mat(u)))
     assert rebuilt == new_gram
+    # Typed as mat_mul: an int Gram stays int, with the same basis change.
+    int_gram, int_u = size_reduce_basis(((4, -2, 0), (-2, 4, -2), (0, -2, 4)))
+    assert (int_gram, int_u) == (new_gram, u)
+    assert {type(x) for row in int_gram for x in row} == {int}
+    assert {type(x) for row in new_gram for x in row} == {Q}
 
 
 def test_rational_hnf_equality_is_lattice_equality():
