@@ -20,8 +20,8 @@ from typing import Iterable, Optional, Sequence
 
 from .lattices import Lattice, _order
 from .linalg import (
-    IntMat, clear_denominators, f2_echelon, f2_pack, f2_row_mul, f2_unpack,
-    int_identity, int_mat, mat_inv, mat_mul, mat_pow, mat_scale, row_mul,
+    IntMat, clear_denominators, cleared_inverse, f2_echelon, f2_pack, f2_row_mul,
+    f2_unpack, int_identity, int_mat, int_mat_mul, mat_pow, mat_scale, row_mul,
 )
 
 Bits = tuple[int, ...]
@@ -286,7 +286,7 @@ def compose(after: Lift, first: Lift) -> Lift:
     a, b = after.lattice, first.lattice
     if a is not b and (a._scale, a._int_gram) != (b._scale, b._int_gram):
         raise ValueError("lifts live on different lattices")
-    base = mat_mul(first.base, after.base)
+    base = int_mat_mul(first.base, after.base)
     moved = pullback(after.eta, first._rows)
     eta = F2QuadraticForm(
         tuple(a ^ b for a, b in zip(first.eta.diagonal, moved.diagonal)),
@@ -296,8 +296,8 @@ def compose(after: Lift, first: Lift) -> Lift:
 
 
 def lift_inverse(lf: Lift) -> Lift:
-    base = mat_inv(lf.base)
-    if any(e.denominator != 1 for row in base for e in row):
+    s, base = cleared_inverse(lf.base)
+    if s != 1:
         raise ValueError("base isometry is not invertible over the integers")
     return Lift(lf.lattice, lf.eps, base, pullback(lf.eta, tuple(map(f2_pack, base))))
 
@@ -354,7 +354,7 @@ def commuting_lift(f_matrix: Sequence[Sequence], g_lift: Lift, m: int) -> Lift:
     n = lat.rank
     f = int_mat(f_matrix)
     g_lift_m = lift_power(g_lift, m)
-    if mat_mul(f, g_lift.base) != mat_mul(g_lift_m.base, f):
+    if int_mat_mul(f, g_lift.base) != int_mat_mul(g_lift_m.base, f):
         raise ValueError("relation f^{-1} g f = g^m fails on the lattice")
     xi = lift(f, lat, g_lift.eps)
     fbar, hbar = xi._rows, g_lift_m._rows

@@ -40,6 +40,7 @@ from .lattices import (
 )
 from .linalg import (
     clear_denominators,
+    cleared_inverse,
     coset_minimum,
     enumerate_quadratic,
     f2_echelon,
@@ -49,9 +50,7 @@ from .linalg import (
     f2_unpack,
     hnf,
     int_identity,
-    mat_eq,
-    mat_inv,
-    mat_mul,
+    int_mat_mul,
     mat_pow,
     mat_scale,
     mat_sub,
@@ -269,7 +268,7 @@ _TYPE_KEYS = {
 @lru_cache(maxsize=None)
 def ambient_lattice(code: Code) -> Lattice:
     """((1/2)N)^d: block Gram is half the A_{p-1} Cartan matrix."""
-    return Lattice(_block_diagonal(mat_scale(_cartan(code.p), Q(1, 2)), code.d))
+    return Lattice._from_pair(2, _block_diagonal(_cartan(code.p), code.d))
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +281,7 @@ def nu_ambient_matrix(code: Code):
 def _nu_pairing(code: Code):
     """(s, nu·g), g = s·G the ambient's cleared Gram: <x, x·nu> = x(nu·g)x^T/s."""
     amb = ambient_lattice(code)
-    return amb._scale, mat_mul(nu_ambient_matrix(code), amb._int_gram)
+    return amb._scale, int_mat_mul(nu_ambient_matrix(code), amb._int_gram)
 
 
 def classify_word(code: Code, word: Bits) -> str:
@@ -399,21 +398,21 @@ def build_lattice(code: Code) -> BuiltLattice:
 @lru_cache(maxsize=None)
 def _basis_inverse(built: BuiltLattice):
     """(s, s·B^{-1}) for B the glued lattice's basis over the ambient coordinates."""
-    return clear_denominators(mat_inv(built.basis))
+    return cleared_inverse(built.basis)
 
 
 def _in_lattice(built: BuiltLattice, rows):
-    """Ambient rows in the glued lattice's own coordinates, rows·B^{-1};
+    """Ambient ``int`` rows in the glued lattice's own coordinates, rows·B^{-1};
     the integral entries are ``int``s."""
     s, b_inv = _basis_inverse(built)
-    m = mat_mul(rows, b_inv)
+    m = int_mat_mul(rows, b_inv)
     return tuple(tuple(Q(e, s) if e % s else e // s for e in row) for row in m)
 
 
 @lru_cache(maxsize=None)
 def _nu_coords(built: BuiltLattice):
     """B·nu·B^{-1}, over ``int``: nu in the glued lattice's own coordinates."""
-    m = _in_lattice(built, mat_mul(built.basis, nu_ambient_matrix(built.code)))
+    m = _in_lattice(built, int_mat_mul(built.basis, nu_ambient_matrix(built.code)))
     if any(e.denominator != 1 for row in m for e in row):
         raise ValueError("code is not invariant: nu does not preserve the lattice")
     return m
@@ -421,8 +420,9 @@ def _nu_coords(built: BuiltLattice):
 
 @lru_cache(maxsize=None)
 def nu_in_lattice(built: BuiltLattice):
-    """The block-cycling isometry in the glued lattice's own coordinates."""
-    return Isometry(_nu_coords(built), built.lattice).matrix
+    """The block-cycling isometry in the glued lattice's own coordinates, as
+    ``int`` rows, checked to preserve its form."""
+    return Isometry(_nu_coords(built), built.lattice)._int_matrix
 
 
 def shell_count_by_cosets(code: Code, norm) -> int:
@@ -483,15 +483,15 @@ def glue_form_report(built: BuiltLattice) -> GlueFormReport:
     with r'·B^{-1} by r·G·r'^T, G the ambient Gram: no inverse is taken."""
     p = built.code.p
     t, r = clear_denominators(glue_vector_rows(built.code))
-    rg = mat_mul(r, built.ambient._int_gram)
+    rg = int_mat_mul(r, built.ambient._int_gram)
     scale = t * built.ambient._scale  # r·G·x^T = rg·x^T / scale for rows x
-    if any(e % scale for row in mat_mul(rg, transpose(built.basis)) for e in row):
+    if any(e % scale for row in int_mat_mul(rg, transpose(built.basis)) for e in row):
         raise AssertionError("glue vector is not in the dual lattice")
     disc = discriminant_group(built.lattice)
     f_rows = []
     q_vals = []
     q2_vals = []
-    for i, row in enumerate(mat_mul(rg, transpose(r))):
+    for i, row in enumerate(int_mat_mul(rg, transpose(r))):
         f_rows.append(tuple(Q(p * e, t * scale) for e in row))
         qv = Q(p * row[i], 2 * t * scale)
         q2 = Q(p * 4 * row[i], 2 * t * scale)  # 2r: four times the norm
@@ -499,10 +499,7 @@ def glue_form_report(built: BuiltLattice) -> GlueFormReport:
             raise AssertionError("q-values must be integral")
         q_vals.append(int(qv) % p)
         q2_vals.append(int(q2) % p)
-    expected_f = tuple(
-        tuple(Q(8) if i == j else Q(0) for j in range(built.code.d))
-        for i in range(built.code.d)
-    )
+    expected_f = mat_scale(int_identity(built.code.d), 8)
     passed = (
         disc.invariant_factors == tuple([p] * built.code.d)
         and tuple(f_rows) == expected_f
@@ -553,19 +550,8 @@ def _half_vector_rows():
         "gd": (1, 0, 1, 1),
         "0": (0, 0, 0, 0),
     }
-
-    def word(pattern):
-        out = []
-        for key in pattern:
-            out.extend(blocks[key])
-        return tuple(out)
-
-    return (
-        word("gggg"),
-        word("dddd"),
-        word(["g", "d", "gd", "0"]),
-        word(["d", "gd", "g", "0"]),
-    )
+    patterns = ("gggg", "dddd", ("g", "d", "gd", "0"), ("d", "gd", "g", "0"))
+    return tuple(tuple(b for key in p for b in blocks[key]) for p in patterns)
 
 
 def build_ee8_pair(built: BuiltLattice) -> EE8Report:
@@ -592,8 +578,8 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
         f_rows.append(tuple(gamma))
         f_rows.append(tuple(delta))
     m_rows = hnf(tuple(f_rows) + _half_vector_rows())
-    nu2 = mat_pow(nu_ambient_matrix(code), 2)
-    mprime_rows = hnf(mat_mul(m_rows, nu2))
+    nu = nu_ambient_matrix(code)
+    mprime_rows = hnf(int_mat_mul(int_mat_mul(m_rows, nu), nu))
 
     for name, rows in (("M", m_rows), ("M'", mprime_rows)):
         lat = sublattice(built.ambient, rows)
@@ -644,9 +630,9 @@ def build_ee8_pair(built: BuiltLattice) -> EE8Report:
     for rows in (m_in_lc, mp_in_lc):
         if any(e.denominator != 1 for r in rows for e in r):
             failures.append("E8 member not inside the glued lattice")
-    t_m = rssd_involution(built.lattice, m_in_lc).matrix
-    t_mp = rssd_involution(built.lattice, mp_in_lc).matrix
-    if not mat_eq(mat_mul(t_mp, t_m), nu_in_lattice(built)):
+    t_m = rssd_involution(built.lattice, m_in_lc)._int_matrix
+    t_mp = rssd_involution(built.lattice, mp_in_lc)._int_matrix
+    if int_mat_mul(t_mp, t_m) != nu_in_lattice(built):
         failures.append("t_M t_M' != nu")
 
     return EE8Report(

@@ -8,7 +8,7 @@ appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -18,28 +18,28 @@ from . import linalg
 from .linalg import (
     Mat,
     clear_denominators,
+    cleared_inverse,
     coset_minimum,
     det,
     dot,
     hnf,
     identity,
     int_identity,
-    int_mat,
+    int_ldl,
+    int_mat_mul,
+    int_size_reduce_basis,
     integer_row_kernel,
     invariant_factors,
     is_symmetric,
-    ldl,
     mat,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
-    rank,
     rational_hnf,
     row_mul,
     shell_vectors,
-    size_reduce_basis,
     snf,
     transpose,
     vec,
@@ -53,13 +53,26 @@ class Lattice:
 
     Its denominators are cleared once, into gram = _int_gram / _scale in
     lowest terms; every routine here reads that pair over ``int``, and the
-    ``Fraction`` ``gram`` is built only on a first outside read."""
+    ``Fraction`` ``gram`` is built only on a first outside read.  Derived
+    lattices are built from their ``int`` pair by ``_from_pair``, unscanned."""
 
     def __init__(self, gram: Sequence[Sequence]):
-        self._scale, self._int_gram = clear_denominators(gram)
-        if not is_symmetric(self._int_gram):
+        self._set(*clear_denominators(gram))
+
+    @classmethod
+    def _from_pair(cls, s: int, g: linalg.IntMat) -> "Lattice":
+        """The lattice of Gram g/s, for ``int`` rows g and s > 0."""
+        c = math.gcd(s, *(x for row in g for x in row))
+        lat = cls.__new__(cls)
+        lat._set(s // c, tuple(tuple(x // c for x in row) for row in g))
+        return lat
+
+    def _set(self, s: int, g: linalg.IntMat):
+        self._scale, self._int_gram = s, g
+        if not is_symmetric(g):
             raise ValueError("gram matrix must be symmetric")
-        ldl(self._int_gram)  # raises unless positive definite
+        d, _ = int_ldl(g)  # raises unless positive definite
+        self._det = d[-1] if d else 1  # det(g), the last leading minor
 
     @cached_property
     def gram(self) -> Mat:
@@ -70,7 +83,7 @@ class Lattice:
         return len(self._int_gram)
 
     def det(self) -> Fraction:
-        return det(self._int_gram) / self._scale**self.rank
+        return Q(self._det, self._scale**self.rank)
 
     def inner(self, x: Sequence, y: Sequence) -> Fraction:
         sx, (cx,) = clear_denominators((x,))
@@ -88,28 +101,28 @@ class Lattice:
         """Whether the map M/s preserves the form: M·G·M^T = s^2·G over
         ``int``, for G the cleared Gram."""
         g = self._int_gram
-        image = mat_mul(mat_mul(big_m, g), transpose(big_m))
+        image = int_mat_mul(int_mat_mul(big_m, g), transpose(big_m))
         return mat_eq(image, g if s == 1 else mat_scale(g, s * s))
 
     def is_even(self) -> bool:
-        return self.is_integral() and all(
-            self._int_gram[i][i] % 2 == 0 for i in range(self.rank)
-        )
+        return self.is_integral() and all(r[i] % 2 == 0 for i, r in enumerate(self._int_gram))
 
     def __repr__(self):
         return f"Lattice(rank={self.rank}, det={self.det()})"
 
 
 def sublattice(parent: Lattice, basis_rows: Sequence[Sequence]) -> Lattice:
-    """Lattice spanned by the given coordinate rows over the parent."""
+    """Lattice spanned by the given coordinate rows over the parent; each
+    row must have the parent's rank as its width."""
     t, b = clear_denominators(basis_rows)
-    g = mat_mul(mat_mul(b, parent._int_gram), transpose(b))
-    return Lattice(mat_scale(g, Q(1, t * t * parent._scale)))
+    g = int_mat_mul(int_mat_mul(b, parent._int_gram), transpose(b))
+    return Lattice._from_pair(t * t * parent._scale, g)
 
 
 def dual(lat: Lattice) -> Lattice:
     """Dual lattice, with basis gram^{-1} in the original coordinates."""
-    return Lattice(mat_scale(mat_inv(lat._int_gram), lat._scale))
+    t, inv = cleared_inverse(lat._int_gram)
+    return Lattice._from_pair(t, mat_scale(inv, lat._scale))
 
 
 def rescale(lat: Lattice, c) -> Lattice:
@@ -117,13 +130,14 @@ def rescale(lat: Lattice, c) -> Lattice:
     c = Q(c)
     if c <= 0:
         raise ValueError(f"scale must be positive, got {c}")
-    return Lattice(mat_scale(lat._int_gram, c / lat._scale))
+    g = mat_scale(lat._int_gram, c.numerator)
+    return Lattice._from_pair(lat._scale * c.denominator, g)
 
 
 def tensor(a: Lattice, b: Lattice) -> Lattice:
     """Tensor product lattice; Gram is the Kronecker product."""
     g = [[x * y for x in ra for y in rb] for ra in a._int_gram for rb in b._int_gram]
-    return Lattice(mat_scale(g, Q(1, a._scale * b._scale)))
+    return Lattice._from_pair(a._scale * b._scale, g)
 
 
 def tensor_vector(x: Sequence, y: Sequence) -> tuple:
@@ -142,27 +156,21 @@ def _cartan_a(n: int) -> list[list[int]]:
 
 def root_lattice(family: str, n: int) -> Lattice:
     """Root lattice of type A_n, D_n, or E_n with the Cartan-matrix Gram."""
-    if family == "A":
-        if n < 1:
-            raise ValueError(f"A_n needs n >= 1, got {n}")
-        return Lattice(_cartan_a(n))
-    if family == "D":
-        if n < 4:
-            raise ValueError(f"D_n needs n >= 4, got {n}")
-        g = _cartan_a(n)
-        # Fork: last node attaches to node n-3 instead of n-2.
+    if family not in ("A", "D", "E"):
+        raise ValueError(f"unknown family {family!r}; expected A, D, or E")
+    if family == "A" and n < 1:
+        raise ValueError(f"A_n needs n >= 1, got {n}")
+    if family == "D" and n < 4:
+        raise ValueError(f"D_n needs n >= 4, got {n}")
+    if family == "E" and n not in (6, 7, 8):
+        raise ValueError(f"E_n needs n in 6..8, got {n}")
+    g = _cartan_a(n)
+    if family != "A":
+        # D: the last node forks off node n-3; E: it branches off node 2.
         g[n - 1][n - 2] = g[n - 2][n - 1] = 0
-        g[n - 1][n - 3] = g[n - 3][n - 1] = -1
-        return Lattice(g)
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise ValueError(f"E_n needs n in 6..8, got {n}")
-        g = _cartan_a(n)
-        # Branch node: node n-1 attaches to node 2 of the A-chain 0..n-2.
-        g[n - 1][n - 2] = g[n - 2][n - 1] = 0
-        g[n - 1][2] = g[2][n - 1] = -1
-        return Lattice(g)
-    raise ValueError(f"unknown family {family!r}; expected A, D, or E")
+        fork = n - 3 if family == "D" else 2
+        g[n - 1][fork] = g[fork][n - 1] = -1
+    return Lattice._from_pair(1, g)
 
 
 def _order(s: int, big_m: linalg.IntMat, cap: int) -> int:
@@ -171,36 +179,46 @@ def _order(s: int, big_m: linalg.IntMat, cap: int) -> int:
     for n in range(1, cap + 1):
         if all(x == scale * (i == j) for i, r in enumerate(p) for j, x in enumerate(r)):
             return n
-        p, scale = mat_mul(big_m, p), scale * s
+        p, scale = int_mat_mul(big_m, p), scale * s
     raise ValueError(f"order exceeds cap {cap}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
-    """Gram-preserving linear map, as a matrix of row images."""
+    """Gram-preserving linear map, given by its matrix of row images.
 
-    matrix: Mat
+    Like ``Lattice`` it clears the rows once, into matrix = _int_matrix /
+    _scale in lowest terms, and works on that pair over ``int``; the
+    ``Fraction`` ``matrix`` is built only on a first outside read."""
+
+    rows: InitVar[Sequence[Sequence]]
     lattice: Lattice
 
-    def __post_init__(self):
-        m = mat(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        s, big_m = clear_denominators(m)
-        if not self.lattice.preserves_form(big_m, s):
+    def __post_init__(self, rows):
+        s, m = clear_denominators(rows)
+        if not self.lattice.preserves_form(m, s):
             raise ValueError("matrix does not preserve the gram form")
+        object.__setattr__(self, "_scale", s)
+        object.__setattr__(self, "_int_matrix", m)
+
+    @cached_property
+    def matrix(self) -> Mat:
+        return tuple(tuple(Q(x, self._scale) for x in row) for row in self._int_matrix)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.matrix for e in row)
+        return self._scale == 1
 
     def apply(self, x: Sequence) -> tuple:
         return row_mul(vec(x), self.matrix)
 
     def order(self, cap: int = 512) -> int:
         """Least n <= cap with m^n = 1, checked exactly (``_order``)."""
-        return _order(*clear_denominators(self.matrix), cap)
+        return _order(self._scale, self._int_matrix, cap)
 
     def is_fixed_point_free(self) -> bool:
-        return det(mat_sub(identity(self.lattice.rank), self.matrix)) != 0
+        """Whether det(s·I - M) != 0, for m = M/s."""
+        s, m = self._scale, self._int_matrix
+        return det(mat_sub(mat_scale(int_identity(len(m)), s), m)) != 0
 
 
 @dataclass(frozen=True)
@@ -213,10 +231,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -234,24 +249,21 @@ def discriminant_group(lat: Lattice) -> DiscriminantGroup:
         raise ValueError("discriminant group needs an integral lattice")
     d, u, _ = snf(lat._int_gram)
     n = lat.rank
-    factors = []
-    gens = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            factors.append(di)
-            gens.append(tuple(Q(e, di) for e in u[i]))
+    kept = [(d[i][i], u[i]) for i in range(n) if d[i][i] > 1]
+    factors = [di for di, _ in kept]
+    gens = [tuple(Q(e, di) for e in ui) for di, ui in kept]
     if math.prod(d[i][i] for i in range(n)) != lat.det():
         raise AssertionError("invariant factors do not multiply to det")
     q_values = None
     if factors and lat.is_even() and factors[-1] % 2 == 1:
         m = factors[-1]
         vals = []
-        for gen in gens:
-            v = Q(m, 2) * lat.inner(gen, gen)
-            if v.denominator != 1:
-                raise AssertionError(f"q-value {v} not integral at exponent {m}")
-            vals.append(int(v) % m)
+        # q(u/d) = (m/2)·uGu^T/d^2, over int
+        for (di, ui), ug in zip(kept, int_mat_mul([ui for _, ui in kept], lat._int_gram)):
+            num, den = m * dot(ug, ui), 2 * di * di
+            if num % den:
+                raise AssertionError(f"q-value {Q(num, den)} not integral at exponent {m}")
+            vals.append(num // den % m)
         q_values = tuple(vals)
     return DiscriminantGroup(tuple(factors), tuple(gens), q_values)
 
@@ -267,8 +279,8 @@ def _require_integer_rows(rows: Sequence[Sequence], what: str) -> linalg.IntMat:
 def annihilator(lat: Lattice, a_rows: Sequence[Sequence]) -> linalg.IntMat:
     """HNF basis of {x in L : <x, a> = 0 for all rows a}."""
     a = _require_integer_rows(a_rows, "sublattice")
-    out = hnf(integer_row_kernel(mat_mul(lat._int_gram, transpose(a))))
-    if len(out) + rank(a) != lat.rank:
+    out = hnf(integer_row_kernel(int_mat_mul(lat._int_gram, transpose(a))))
+    if len(out) + len(hnf(a)) != lat.rank:
         raise AssertionError("annihilator rank defect")
     return out
 
@@ -285,8 +297,8 @@ def _rssd_coefficients(lat: Lattice, a_rows: Sequence[Sequence]):
     if any(len(row) != lat.rank for row in a):
         raise ValueError(f"sublattice rows must have width {lat.rank}")
     sa, sn = hnf(a), annihilator(lat, a)
-    s, c = clear_denominators(mat_scale(mat_inv(sa + sn), 2))
-    return sa, sn, c if s == 1 else None
+    s, inv = cleared_inverse(sa + sn)  # C = 2·inv/s, integral iff s | 2
+    return sa, sn, (mat_scale(inv, 2 // s) if 2 % s == 0 else None)
 
 
 def is_rssd(lat: Lattice, a_rows: Sequence[Sequence]) -> bool:
@@ -304,15 +316,13 @@ def rssd_involution(lat: Lattice, a_rows: Sequence[Sequence]) -> Isometry:
     if c is None:
         raise ValueError("sublattice is not RSSD; no integral involution")
     n = lat.rank
-    alpha = mat_mul([row[: len(sa)] for row in c], sa) if sa else ((0,) * n,) * n
+    alpha = int_mat_mul([row[: len(sa)] for row in c], sa) if sa else ((0,) * n,) * n
     t = mat_sub(int_identity(n), alpha)
-    if any(e.denominator != 1 for row in t for e in row):
-        raise AssertionError("involution matrix not integral")
-    if not mat_eq(mat_mul(t, t), identity(n)):
+    if int_mat_mul(t, t) != int_identity(n):
         raise AssertionError("involution does not square to identity")
-    if mat_mul(sa, t) != mat_scale(sa, -1):
+    if int_mat_mul(sa, t) != mat_scale(sa, -1):
         raise AssertionError("involution is not -1 on the sublattice")
-    if mat_mul(sn, t) != sn:
+    if int_mat_mul(sn, t) != sn:
         raise AssertionError("involution is not +1 on the annihilator")
     return Isometry(t, lat)
 
@@ -324,7 +334,7 @@ def shell(lat: Lattice, norm) -> list[tuple[int, ...]]:
         raise ValueError(f"norm must be >= 0, got {norm}")
     if lat.rank <= 4:
         return shell_vectors(lat._int_gram, norm * lat._scale)
-    g2, u = size_reduce_basis(lat._int_gram)
+    g2, u = int_size_reduce_basis(lat._int_gram)
     vecs = shell_vectors(g2, norm * lat._scale)
     if u == int_identity(lat.rank):
         return vecs
@@ -342,18 +352,15 @@ def coxeter_nu(k: int) -> linalg.IntMat:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     n = k - 1
-    rows = []
-    for i in range(n - 1):
-        rows.append(tuple(1 if j == i + 1 else 0 for j in range(n)))
-    rows.append(tuple([-1] * n))
-    return tuple(rows)
+    shift = tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n - 1))
+    return shift + ((-1,) * n,)
 
 
 def sqrt2_a(n: int) -> Lattice:
     """The doubled root lattice sqrt(2)A_n."""
     if n < 1:
         raise ValueError(f"A_n needs n >= 1, got {n}")
-    return Lattice(mat_scale(_cartan_a(n), 2))
+    return Lattice._from_pair(1, mat_scale(_cartan_a(n), 2))
 
 
 def tau_isometry(k: int, s: int) -> linalg.IntMat:
@@ -367,18 +374,11 @@ def tau_isometry(k: int, s: int) -> linalg.IntMat:
 
     def alpha_diff(a: int, b: int) -> tuple[int, ...]:
         # alpha_a - alpha_b in the basis b_i = alpha_i - alpha_{i+1}.
-        row = [0] * n
-        if a < b:
-            for t in range(a, b):
-                row[t] += 1
-        else:
-            for t in range(b, a):
-                row[t] -= 1
-        return tuple(row)
+        return tuple(int(a <= t < b) - int(b <= t < a) for t in range(n))
 
     rows = [alpha_diff((s * i) % k, (s * (i + 1)) % k) for i in range(n)]
     gram = mat_scale(_cartan_a(n), 2)  # (sqrt2)A_{k-1}, over int
-    if not mat_eq(mat_mul(mat_mul(rows, gram), transpose(rows)), gram):
+    if int_mat_mul(int_mat_mul(rows, gram), transpose(rows)) != gram:
         raise ValueError("matrix does not preserve the gram form")
     return tuple(rows)
 
@@ -410,16 +410,13 @@ def lattice_intersection(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence])
     """Canonical (HNF) basis of the intersection of two rational lattices.
 
     Both inputs are coordinate rows over a common basis; solutions of
-    x A = y B with integral x, y are found through an integer kernel.
+    x A + y B = 0 with integral x, y are the integer kernel of s·[A; B],
+    cleared once, and each x·(s·A) is multiplied over ``int``.
     """
-    a, b = mat(rows_a), mat(rows_b)
-    stacked = tuple(a) + tuple(tuple(-e for e in row) for row in b)
-    _, m_int = clear_denominators(stacked)
-    ker = integer_row_kernel(m_int)
-    vecs = [row_mul(vec(x[: len(a)]), a) for x in ker]
-    if not vecs:
-        return ()
-    return rational_hnf(vecs)
+    a = tuple(map(tuple, rows_a))
+    s, m = clear_denominators(a + tuple(map(tuple, rows_b)))
+    vecs = int_mat_mul([x[: len(a)] for x in integer_row_kernel(m)], m[: len(a)])
+    return tuple(tuple(Q(e, s) for e in row) for row in hnf(vecs))
 
 
 def same_lattice(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> bool:
@@ -447,25 +444,27 @@ def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:
         raise ValueError(f"isometry does not have order {p}")
     if not iso.is_fixed_point_free():
         raise ValueError("isometry has nonzero fixed points")
-    n = lat.rank
-    m = int_mat(nu)
+    n, m = lat.rank, iso._int_matrix
     weighted = [[0] * n for _ in range(n)]  # sum_m m·nu^m, mod 2p
     power = m
     for step in range(1, p):
         for w_row, p_row in zip(weighted, power):
             for j, e in enumerate(p_row):
                 w_row[j] = (w_row[j] + step * e) % (2 * p)
-        power = mat_mul(power, m)
-    c = [[2 * e % (2 * p) for e in row] for row in mat_mul(weighted, lat._int_gram)]
+        power = int_mat_mul(power, m)
+    c = [[2 * e % (2 * p) for e in row] for row in int_mat_mul(weighted, lat._int_gram)]
     stacked = tuple(tuple(row) for row in c) + tuple(
         tuple(2 * p if j == i else 0 for j in range(n)) for i in range(n)
     )
     ker = integer_row_kernel(stacked)
     radical = hnf([row[:n] for row in ker])
 
-    dual_rows = mat_mul(mat_inv(lat._int_gram), mat_sub(int_identity(n), m))
-    cross = lattice_intersection(identity(n), dual_rows)
-    if rational_hnf(radical) != cross:
+    # s·(L intersect (1-nu)L*) = sL intersect g(1-nu), for G^{-1} = g/s
+    s, g = cleared_inverse(lat._int_gram)
+    cross = lattice_intersection(
+        mat_scale(int_identity(n), s), int_mat_mul(g, mat_sub(int_identity(n), m))
+    )
+    if mat_scale(radical, s) != cross:
         raise AssertionError("radical disagrees with L intersect (1-nu)L*")
     return radical
 
@@ -480,11 +479,7 @@ def r_cap_p_dual_index(root: Lattice, p: int) -> int:
     )
     p_rows = mat_scale(identity(n), p)
     trans = mat_mul(p_rows, mat_inv(t_rows))
-    c = _require_integer_rows(trans, "index transition")
-    out = 1
-    for f in invariant_factors(c):
-        out *= f
-    return out
+    return math.prod(invariant_factors(_require_integer_rows(trans, "index transition")))
 
 
 def reflection(root_lat: Lattice, root: Sequence) -> Isometry:
@@ -494,12 +489,7 @@ def reflection(root_lat: Lattice, root: Sequence) -> Isometry:
         raise ValueError(f"reflection needs a norm-2 vector, got norm {root_lat.norm(r)}")
     n = root_lat.rank
     pair = [x / root_lat._scale for x in row_mul(r, root_lat._int_gram)]  # <e_i, root>
-    rows = []
-    for i in range(n):
-        rows.append(
-            tuple((Q(1) if j == i else Q(0)) - pair[i] * r[j] for j in range(n))
-        )
-    t = tuple(rows)
+    t = tuple(tuple(Q(int(i == j)) - pair[i] * r[j] for j in range(n)) for i in range(n))
     if not mat_eq(mat_mul(t, t), identity(n)):
         raise AssertionError("reflection does not square to identity")
     return Isometry(t, root_lat)
@@ -554,9 +544,7 @@ def verify_weyl(k: int) -> WeylReport:
     # <r/2k, (1-nu) b_i> is the pairing row over k.
     member = all(e % k == 0 for e in row)
     inv = dual_quotient_invariants(lat, s)
-    order = 1
-    for f in inv:
-        order *= f
+    order = math.prod(inv)
     return WeylReport(
         k=k,
         passed=row_ok and member and order == k,

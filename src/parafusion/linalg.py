@@ -7,11 +7,15 @@ floating point anywhere.
 
 The rational routines run on one integer kernel: ``clear_denominators``
 scales rational rows to integer rows once (all-``int`` rows pass through
-after one type scan, as in ``int_mat``); ``mat_mul`` and ``row_mul``
-multiply the cleared operands over ``int``, through the nonzero entries of
-the left factor (``int`` operands give ``int``, any other ``Fraction``);
-``mat_inv``, ``det``, ``solve_left`` and ``rank`` read off ``_gauss_jordan``,
-a fraction-free (Bareiss) elimination over Z.  Z's other elimination is
+after one type scan, as in ``int_mat``).  ``int_mat_mul`` is the ``int``
+entry point: a product through the nonzero entries of the left factor,
+with no type scan, for callers that hold ``int`` rows; ``mat_mul`` and
+``row_mul`` clear each operand once and call it (``int`` operands give
+``int``, any other ``Fraction``).  Every product raises ``ValueError`` on
+a left width that is not the right height.  ``cleared_inverse`` (the
+``int`` pair (s, s·m^-1)), ``mat_inv``, ``det``, ``solve_left`` and
+``rank`` read off ``_gauss_jordan``, a fraction-free (Bareiss)
+elimination over Z.  Z's other elimination is
 ``_hermite_with_transform``: ``hnf``, ``integer_row_kernel`` (the rows of
 the transform whose Hermite rows are zero) and ``snf`` (invariant factors
 and discriminant generators), which alternates it on rows and columns.
@@ -20,8 +24,9 @@ i) by ``f2_pack``, with ``f2_unpack``, the XOR product ``f2_row_mul`` and
 ``f2_span`` (mask order).
 
 Symmetric Grams have one elimination, ``ldl``: the same fraction-free
-loop on the cleared Gram, kept symmetric, whose pivots are the leading
-minors.  It is the definiteness check of every ``Lattice``, and its
+loop on the cleared Gram (``int_ldl`` on an ``int`` one), kept symmetric,
+whose pivots are the leading minors.  It is the definiteness check and
+the determinant of every ``Lattice``, and its
 integer levels, kept once per Gram, drive ``enumerate_quadratic``,
 ``shell_vectors`` and ``coset_minimum``: one flat branch-and-bound loop
 over ``int``s, with no special case for an empty Gram, a zero norm or a
@@ -73,9 +78,7 @@ def vec(entries: Iterable) -> Vec:
 
 
 def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def int_identity(n: int) -> IntMat:
@@ -90,10 +93,13 @@ def _is_int_mat(m: Sequence[Sequence]) -> bool:
     return {type(x) for row in m for x in row} <= {int}
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    """a·b, row r summing v·b[c] over the nonzero v = a[r][c] in O(nnz(a)·width),
-    over ``int`` on the operands cleared with one type scan each."""
-    (int_a, sa, a), (int_b, sb, b) = _cleared(a), _cleared(b)
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMat:
+    """a·b for ``int`` rows, with no type scan: row r sums v·b[c] over the
+    nonzero v = a[r][c], in O(nnz(a)·width).  Raises ``ValueError`` unless
+    every row of a is as wide as b is high."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"left rows must have width {len(b)}, the right height")
+    zero = (0,) * (len(b[0]) if b else 0)
     out = []
     for row in a:
         acc = None
@@ -102,9 +108,17 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
                 acc = b_row if v == 1 else [v * y for y in b_row]
             elif v:
                 acc = [x + v * y for x, y in zip(acc, b_row)]
-        out.append(tuple(acc) if acc is not None else (0,) * (len(b[0]) if b else 0))
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
+    """a·b: ``int_mat_mul`` on the operands cleared with one type scan each,
+    rescaled; ``int`` operands give ``int``, any other ``Fraction``."""
+    (int_a, sa, a), (int_b, sb, b) = _cleared(a), _cleared(b)
+    out = int_mat_mul(a, b)
     if int_a and int_b:
-        return tuple(out)
+        return out
     return tuple(tuple(Fraction(x, sa * sb) for x in row) for row in out)
 
 
@@ -139,17 +153,18 @@ def mat_eq(a, b) -> bool:
 
 
 def mat_pow(m: Mat, e: int) -> Mat:
-    """m^e; a matrix of ``int``s stays ``int`` for e >= 0."""
+    """m^e, by squaring over ``int`` on m cleared once; a matrix of ``int``s
+    stays ``int`` for e >= 0."""
     if e < 0:
         return mat_pow(mat_inv(m), -e)
-    result = int_identity(len(m)) if _is_int_mat(m) else identity(len(m))
-    base = m
+    int_m, s, base = _cleared(m)
+    result, scale = int_identity(len(base)), s**e
     while e:
         if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = int_mat_mul(result, base)
+        base = int_mat_mul(base, base)
         e >>= 1
-    return result
+    return result if int_m else mat_scale(result, Fraction(1, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +202,25 @@ def _gauss_jordan(rows: list[Sequence[int]], ncols: int) -> tuple[list[int], int
     return pivots, sign * prev
 
 
-def mat_inv(m: Sequence[Sequence]) -> Mat:
-    """Inverse by elimination on [s·m | I]; raises on a singular matrix."""
+def cleared_inverse(m: Sequence[Sequence]) -> tuple[int, IntMat]:
+    """(s, s·m^{-1}) in lowest terms, s > 0, with no ``Fraction``: elimination
+    on [t·m | I] leaves every row d·[e_i | (t·m)^{-1} row i], d the last pivot,
+    so m^{-1} = t·(right block)/d.  Raises on a singular matrix."""
     n = len(m)
-    s, big_m = clear_denominators(m)
+    t, big_m = clear_denominators(m)
     aug = [row + e for row, e in zip(big_m, int_identity(n))]
     pivots, _ = _gauss_jordan(aug, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return tuple(tuple(Fraction(s * x, r[i]) for x in r[n:]) for i, r in enumerate(aug))
+    d = aug[0][0] if n else 1
+    c = gcd(d, *(t * x for r in aug for x in r[n:])) * (1 if d > 0 else -1)
+    return d // c, tuple(tuple(t * x // c for x in r[n:]) for r in aug)
+
+
+def mat_inv(m: Sequence[Sequence]) -> Mat:
+    """Inverse as ``Fraction``s, read off ``cleared_inverse``."""
+    s, inv = cleared_inverse(m)
+    return tuple(tuple(Fraction(x, s) for x in row) for row in inv)
 
 
 def det(m: Sequence[Sequence]) -> Fraction:
@@ -343,24 +368,19 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
-    def off_diagonal_zero(mat_):
-        return all(
-            mat_[i][j] == 0
-            for i in range(len(mat_))
-            for j in range(ncols)
-            if i != j
-        )
+    def off_diagonal_zero(m_):
+        return all(x == 0 for i, row in enumerate(m_) for j, x in enumerate(row) if i != j)
 
     if nrows and ncols:
         for _ in range(1000):
             h, p = _hermite_with_transform(a)
             a = h
-            u = list(mat_mul(p, u))
+            u = list(int_mat_mul(p, u))
             if off_diagonal_zero(a):
                 break
             ht, q = _hermite_with_transform(transpose(a))
             a = [list(row) for row in transpose(ht)]
-            v = [list(row) for row in mat_mul(v, transpose(q))]
+            v = [list(row) for row in int_mat_mul(v, transpose(q))]
             if off_diagonal_zero(a):
                 break
         else:
@@ -395,11 +415,7 @@ def snf(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
         if not fixed:
             break
 
-    return (
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-    )
+    return tuple(tuple(map(tuple, x)) for x in (a, u, v))
 
 
 def invariant_factors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -482,7 +498,12 @@ def ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[tuple[int, ...]]
     (Sylvester's criterion for definiteness).
     """
     s, cleared = clear_denominators(gram)
-    a = [list(row) for row in cleared]
+    return (s, *int_ldl(cleared))
+
+
+def int_ldl(gram: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(D, B) of ``ldl`` for an ``int`` Gram, with no type scan."""
+    a = [list(row) for row in gram]
     d, b, prev = [], [], 1
     for k, row_k in enumerate(a):
         pivot = row_k[k]
@@ -494,7 +515,7 @@ def ldl(gram: Sequence[Sequence]) -> tuple[int, list[int], list[tuple[int, ...]]
         d.append(pivot)
         b.append((0,) * k + tuple(row_k[k:]))
         prev = pivot
-    return s, d, b
+    return d, b
 
 
 @lru_cache(maxsize=64)
@@ -517,7 +538,7 @@ def _levels(gram: Sequence[Sequence], center: Sequence | None):
     rows[i] = (w_i, D[i]·T, D[i]·T·t_i, T·t_i, B[i][i+1:]).
     """
     scale, d, w, tails = _gram_levels(tuple(map(tuple, gram)))
-    t_scale, (big_t,) = clear_denominators([center or [0] * len(d)])
+    t_scale, (big_t,) = clear_denominators([center]) if center else (1, ((0,) * len(d),))
     rows = [
         (wi, di * t_scale, di * ti, ti, tail)
         for wi, di, ti, tail in zip(w, d, big_t, tails)
@@ -637,16 +658,19 @@ def coset_minimum(gram: Mat, shift: Vec) -> tuple[Fraction, list[tuple[int, ...]
 
 
 def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
-    """Greedy pairwise size reduction; returns (new_gram, U) with U rows
-    expressing the new basis in the old one, new_gram typed as ``mat_mul``
-    (``int`` for an all-``int`` Gram, else ``Fraction``).
-
-    Runs on the cleared ``int`` Gram, as scaling changes no rounding or
-    comparison.  Enough to tame HNF bases before enumeration; not LLL.
-    """
-    n = len(gram)
+    """``int_size_reduce_basis`` on the cleared Gram, as scaling changes no
+    rounding or comparison; new_gram is typed as ``mat_mul``."""
     int_in, s, cleared = _cleared(gram)
-    g = [list(row) for row in cleared]
+    g2, u2 = int_size_reduce_basis(cleared)
+    return (g2 if int_in else mat_scale(g2, Fraction(1, s))), u2
+
+
+def int_size_reduce_basis(gram: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat]:
+    """Greedy pairwise size reduction of an ``int`` Gram; returns (new_gram, U)
+    with U rows expressing the new basis in the old one.  Enough to tame
+    HNF bases before enumeration; not LLL."""
+    n = len(gram)
+    g = [list(row) for row in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def apply(i, j, q):  # b_i -= q b_j
@@ -675,5 +699,4 @@ def size_reduce_basis(gram: Mat) -> tuple[Mat, IntMat]:
         # Reorder by ascending norm for better enumeration pivots.
     order = sorted(range(n), key=lambda i: g[i][i])
     g2 = tuple(tuple(g[i][j] for j in order) for i in order)
-    u2 = tuple(tuple(u[i]) for i in order)
-    return (g2 if int_in else mat_scale(g2, Fraction(1, s))), u2
+    return g2, tuple(tuple(u[i]) for i in order)

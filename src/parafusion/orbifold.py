@@ -21,7 +21,7 @@ from .fusion import (
     sigma_type_index,
     verify_associativity,
 )
-from .linalg import int_identity, mat_mul, mat_sub, transpose
+from .linalg import int_identity, int_mat_mul, mat_sub, transpose
 
 Q = Fraction
 
@@ -136,11 +136,11 @@ def derive_full_table(k: int) -> OrbifoldTable:
     """
     n = len(orbifold_basis(k))  # raises for k < 3
     a1, a2 = (_operator([_generator_cell(g, y, k) for y in range(n)]) for g in (1, 2))
-    ops = [int_identity(n), a1, a2, mat_mul(a1, a2)]  # ops[2j + eps]
+    ops = [int_identity(n), a1, a2, int_mat_mul(a1, a2)]  # ops[2j + eps]
     for j in range(1, k // 2):
         prev, cur = ops[2 * j - 2], ops[2 * j]
-        nxt = mat_sub(mat_sub(mat_mul(a2, cur), prev), mat_mul(a1, cur))
-        ops += [nxt, mat_mul(a1, nxt)]
+        nxt = mat_sub(mat_sub(int_mat_mul(a2, cur), prev), int_mat_mul(a1, cur))
+        ops += [nxt, int_mat_mul(a1, nxt)]
     cells = [[tuple([(z, m) for z, m in enumerate(col) if m]) for col in transpose(op)]
              for op in ops]
     table = OrbifoldTable(k, cells)
@@ -159,7 +159,7 @@ def verify_table(table: OrbifoldTable) -> Report:
     failures = []
 
     a1, a2 = _operator(cells[1]), _operator(cells[2])  # W[0,1], W[1,0]
-    if mat_mul(a1, a2) != mat_mul(a2, a1):
+    if int_mat_mul(a1, a2) != int_mat_mul(a2, a1):
         failures.append(("generator_commutation",))
 
     for x in range(n):

@@ -59,6 +59,18 @@ def test_standard_epsilon_rescaled_vanishes():
         assert all(e == 0 for row in eps.matrix for e in row)
 
 
+def test_every_lift_of_nu_on_sqrt2_a_has_order_k():
+    # With the zero cocycle every eta is linear, and every nu-orbit sums
+    # to 0 (nu has no eigenvalue 1), so eta summed over an orbit is 0.
+    rng = random.Random(2021)
+    for k in range(3, 33):
+        lat = sqrt2_a(k - 1)
+        eps = standard_epsilon(lat)
+        for _ in range(3):
+            eta = [rng.randrange(2) for _ in range(k - 1)]
+            assert lift_order(lift(coxeter_nu(k), lat, eps, eta)) == k, (k, eta)
+
+
 def test_standard_epsilon_a2_values():
     eps = standard_epsilon(root_lattice("A", 2))
     assert eps.matrix[0][0] == 1
@@ -491,7 +503,7 @@ def test_lift_order_reads_the_base_order_without_an_isometry(monkeypatch):
     built = []
     real = Isometry.__post_init__
     monkeypatch.setattr(
-        Isometry, "__post_init__", lambda iso: built.append(1) or real(iso)
+        Isometry, "__post_init__", lambda iso, rows: built.append(1) or real(iso, rows)
     )
     doubled = 0
     for k in range(3, 14):

@@ -158,6 +158,21 @@ def test_rssd_positive(capsys, tmp_path):
     assert payload["involution"] == [["-1", "0"], ["1", "1"]]
 
 
+def test_rssd_output_is_pinned_byte_for_byte(capsys, tmp_path):
+    # The CLI reads the involution through the Fraction view
+    # Isometry.matrix, so JSON entries stay strings such as "-1".
+    path = rssd_file(tmp_path, [[1, 0]])
+    assert run(capsys, "rssd", "--format", "json", path) == (
+        0,
+        '{\n  "involution": [\n    [\n      "-1",\n      "0"\n    ],\n'
+        '    [\n      "1",\n      "1"\n    ]\n  ],\n  "rssd": true\n}\n',
+        "",
+    )
+    assert run(capsys, "rssd", path) == (
+        0, "rssd: True\ninvolution rows (parent basis):\n  [-1, 0]\n  [1, 1]\n", ""
+    )
+
+
 def test_rssd_text(capsys, tmp_path):
     code, out, _ = run(capsys, "rssd", rssd_file(tmp_path, [[1, 0]]))
     assert code == 0

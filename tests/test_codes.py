@@ -378,18 +378,33 @@ def test_nu_in_lattice_inverts_the_basis_once(monkeypatch):
     built = build_lattice(builtin_code("5B"))
     basis = mat(built.basis)
     inverted = []
-    real_inv = codes_mod.mat_inv
+    real_inv = codes_mod.cleared_inverse
 
     def counting_inv(m):
         inverted.append(mat(m) == basis)
         return real_inv(m)
 
-    monkeypatch.setattr(codes_mod, "mat_inv", counting_inv)
+    monkeypatch.setattr(codes_mod, "cleared_inverse", counting_inv)
     assert one_minus_nu_dual_equals_lattice(built)
     assert build_ee8_pair(built).passed
     assert glue_form_report(built).passed
     assert inverted.count(True) == 1
     assert nu_in_lattice(built) is nu_in_lattice(built)
+
+
+def test_nu_in_lattice_is_int_rows_built_with_no_fraction(monkeypatch):
+    from parafusion.linalg import mat_inv, mat_mul
+
+    built = build_lattice(builtin_code("5B"))
+    made = []
+    real = Q.__new__
+    with monkeypatch.context() as m:
+        m.setattr(Q, "__new__", lambda cls, *a, **kw: made.append(a) or real(cls, *a, **kw))
+        nu = nu_in_lattice(built)
+    assert made == []
+    assert {type(x) for row in nu for x in row} == {int}
+    b = mat(built.basis)
+    assert nu == mat_mul(mat_mul(b, mat(codes_mod.nu_ambient_matrix(built.code))), mat_inv(b))
 
 
 def sqrt2_a4_certificate(lat):

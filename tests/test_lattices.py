@@ -38,6 +38,7 @@ from parafusion.lattices import (
 import parafusion.lattices as lattices_mod
 from parafusion import linalg
 from parafusion.linalg import (
+    det,
     identity,
     int_mat,
     invariant_factors,
@@ -540,6 +541,26 @@ def test_isometry_validation():
     assert iso.order() == 2
 
 
+def test_isometry_keeps_the_cleared_pair_and_a_fraction_view():
+    a2, z2 = root_lattice("A", 2), Lattice([[1, 0], [0, 1]])
+    rotation = [[Q(3, 5), Q(4, 5)], [Q(-4, 5), Q(3, 5)]]  # of infinite order
+    cases = [
+        ([[0, 1], [1, 0]], a2, 1),
+        ([[Q(-1), Q(0)], [Q(1), Q(1)]], a2, 1),
+        ([["0", "-1"], [1, 0]], z2, 1),
+        (rotation, z2, 5),
+    ]
+    for m, lat, scale in cases:
+        iso = Isometry(m, lat)
+        assert iso.matrix == mat(m) and {type(x) for r in iso.matrix for x in r} == {Q}
+        assert (iso._scale, iso.is_integral()) == (scale, scale == 1)
+        assert iso.is_fixed_point_free() == (det(mat_sub(identity(2), mat(m))) != 0)
+    assert Isometry(cases[2][0], z2).order() == 4
+    assert Isometry(rotation, z2).apply((5, 0)) == (3, 4)
+    with pytest.raises(ValueError, match="order exceeds cap 8"):
+        Isometry(rotation, z2).order(cap=8)
+
+
 def dual_quotient_by_gram(lat, s_rows):
     """S*/L* by its definition: S* has basis (G S^T)^{-1} and L* has basis
     G^{-1} in L's coordinates; the transition of L* over S* gives the SNF."""
@@ -625,6 +646,55 @@ def test_rssd_rejects_rows_of_the_wrong_width():
                 f(a2, rows)
 
 
+def test_sublattice_rejects_rows_of_the_wrong_width():
+    # Both used to return Gram [[2]], the extra or missing coordinates dropped.
+    a2 = root_lattice("A", 2)
+    for rows in ([[1, 0, 5]], [[1]], [[1, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="width 2"):
+            sublattice(a2, rows)
+
+
+def count_fractions(monkeypatch):
+    """Record the arguments of every ``Fraction`` built from here on."""
+    built = []
+    real = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    return built
+
+
+def test_rssd_involution_builds_no_fraction_and_no_identity(monkeypatch):
+    lat = root_lattice("E", 8)
+    rows = [[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0]]
+    with monkeypatch.context() as m:
+        for owner in (linalg, lattices_mod):
+            m.setattr(owner, "identity", lambda n: pytest.fail("identity called"))
+        built = count_fractions(m)
+        t = rssd_involution(lat, rows)
+        assert built == []
+    assert mat_eq(mat_mul(t.matrix, t.matrix), identity(8))
+
+
+def test_int_paths_make_no_type_scan(monkeypatch):
+    from parafusion.central import lift, lift_order, standard_epsilon
+    from parafusion.orbifold import derive_full_table
+
+    lat = sqrt2_a(12)
+    lf = lift(coxeter_nu(13), lat, standard_epsilon(lat))
+    iso = Isometry(tau_isometry(13, 2), lat)
+    e6 = root_lattice("E", 6)
+    calls = count_calls(monkeypatch, [linalg], "_is_int_mat")
+    assert lift_order(lf) == 13 and iso.order() == 12
+    assert lat.preserves_form(tau_isometry(13, 5)) and iso.is_integral()
+    assert discriminant_group(e6).q_values == (2,)
+    assert derive_full_table(8).k == 8
+    assert calls == []
+
+
 def count_calls(monkeypatch, owners, name):
     """Replace ``name`` in each owner module by one counting wrapper."""
     calls = []
@@ -651,7 +721,7 @@ def test_rssd_involution_eliminations_do_not_grow_with_rank(monkeypatch):
 
 
 def test_sublattice_multiplies_twice(monkeypatch):
-    calls = count_calls(monkeypatch, [lattices_mod], "mat_mul")
+    calls = count_calls(monkeypatch, [lattices_mod], "int_mat_mul")
     sublattice(root_lattice("A", 3), [[1, 1, 0], [0, 1, 1]])
     assert len(calls) == 2
 

@@ -15,6 +15,7 @@ from parafusion.linalg import (
     hnf,
     identity,
     int_identity,
+    int_mat_mul,
     integer_row_kernel,
     invariant_factors,
     ldl,
@@ -23,6 +24,7 @@ from parafusion.linalg import (
     mat_mul,
     rank,
     rational_hnf,
+    row_mul,
     shell_vectors,
     size_reduce_basis,
     snf,
@@ -122,6 +124,18 @@ def test_solve_left():
     assert mat_mul(mat([y]), a) == mat([[4, 6]])
     # inconsistent system over the rationals
     assert solve_left(mat([[1, 2], [2, 4]]), (0, 1)) is None
+
+
+def test_products_reject_a_width_that_is_not_the_right_height():
+    # A 1x3 row times a 2x1 matrix used to drop the third entry: ((3,),).
+    for a in ([[1, 2, 3]], [[1]], [[Q(1, 2), 2, 3]]):
+        with pytest.raises(ValueError, match="width 2"):
+            mat_mul(a, [[1], [1]])
+        with pytest.raises(ValueError, match="width 2"):
+            row_mul(a[0], [[1], [1]])
+    with pytest.raises(ValueError, match="width 2"):
+        int_mat_mul([[1, 2], [1, 2, 3]], [[1], [1]])
+    assert int_mat_mul([[1, 2]], [[1], [1]]) == ((3,),)
 
 
 def test_rank():

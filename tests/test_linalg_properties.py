@@ -35,6 +35,7 @@ from parafusion.linalg import (
     hnf,
     identity,
     int_mat,
+    int_mat_mul,
     integer_row_kernel,
     mat_inv,
     mat_mul,
@@ -454,6 +455,25 @@ def test_sparse_product_matches_the_dense_kernel(shape, a_frac, b_frac, data):
     assert got == dense_product(a, b)
     all_int = {type(x) for row in a + b for x in row} <= {int}
     assert {type(x) for row in got for x in row} <= ({int} if all_int else {Q})
+
+
+@given(st.tuples(st.integers(0, 6), st.integers(1, 6), st.integers(0, 6)), st.data())
+def test_int_product_matches_sum_of_products(shape, data):
+    # The int entry point, zero-row and zero-column shapes included, is
+    # the sum of products and the product mat_mul gives; every product
+    # raises when a left row is not as wide as the right factor is high.
+    n, t, m = shape
+    a = data.draw(sparse_matrices(n, t, False))
+    b = data.draw(sparse_matrices(t, m, False))
+    expected = sum_of_products(a, b)
+    got = int_mat_mul(a, b)
+    assert got == expected and types(got) == types(expected)
+    assert got == mat_mul(a, b)
+    width = data.draw(st.integers(0, 7).filter(lambda w: w != t))
+    bad = [[1] * width for _ in range(max(n, 1))]
+    for product_ in (int_mat_mul, mat_mul, lambda x, y: row_mul(x[0], y)):
+        with pytest.raises(ValueError, match=f"width {t}"):
+            product_(bad, b)
 
 
 @given(st.data())
