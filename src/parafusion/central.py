@@ -202,14 +202,23 @@ class Lift:
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._set(*clear_denominators(self.base))
+
+    @classmethod
+    def _from_pair(cls, lat: Lattice, eps: F2BilinearForm, s: int, base: IntMat, eta) -> "Lift":
+        """The lift on the cleared pair (s, ``int`` rows base), unscanned."""
+        lf = cls.__new__(cls)
+        vars(lf).update(lattice=lat, eps=eps, eta=eta, _powers={})
+        lf._set(s, base)
+        return lf
+
+    def _set(self, s: int, m: IntMat):
         # Every lift, composites included, is checked in full, over int.
-        s, m = clear_denominators(self.base)
         if not self.lattice.preserves_form(m, s):
             raise ValueError("matrix does not preserve the gram form")
         if s != 1:
             raise ValueError("lift base must be an integral isometry")
-        object.__setattr__(self, "base", m)
-        object.__setattr__(self, "_rows", tuple(map(f2_pack, m)))
+        vars(self).update(base=m, _rows=tuple(map(f2_pack, m)))
         if self.eta.polarization != b_g_form(self.eps, self._rows):
             raise ValueError("eta polarization must equal eps + eps^g")
 
@@ -292,14 +301,13 @@ def compose(after: Lift, first: Lift) -> Lift:
         tuple(a ^ b for a, b in zip(first.eta.diagonal, moved.diagonal)),
         first.eta.polarization + moved.polarization,
     )
-    return Lift(after.lattice, after.eps, base, eta)
+    return Lift._from_pair(after.lattice, after.eps, 1, base, eta)
 
 
 def lift_inverse(lf: Lift) -> Lift:
-    s, base = cleared_inverse(lf.base)
-    if s != 1:
-        raise ValueError("base isometry is not invertible over the integers")
-    return Lift(lf.lattice, lf.eps, base, pullback(lf.eta, tuple(map(f2_pack, base))))
+    s, base = cleared_inverse(lf.base)  # s = 1, as det(base) = ±1
+    eta = pullback(lf.eta, tuple(map(f2_pack, base)))
+    return Lift._from_pair(lf.lattice, lf.eps, s, base, eta)
 
 
 def lift_power(lf: Lift, n: int) -> Lift:

@@ -197,7 +197,7 @@ def load_code(path: str):
 # a MemoryError.  On a 2-core x86 host: lift-order takes up to k sparse
 # (k-1)x(k-1) products, 0.4 s at k = 128; sigma-check and orbifold-table
 # keep k+2 operators of (k+2)^2 entries, 0.9-1.8 s and up to 103 MB at
-# k = 128; zk-check fuses all O(k^4) label pairs, 17 s at k = 64.  Codes
+# k = 128; zk-check makes k^3 rule calls, ~k^4 terms, 0.8-1.3 s at k = 64.  Codes
 # are capped in ``codes`` at p <= 13, d <= 16 and 16 generators: lc-verify
 # on 16 random generators takes 0.9 s at p = 13, d = 1, 1.4 s and 77 MB at
 # d = 8, and 2.4 s and 132 MB at d = 16, but 8.3 s at p = 17, d = 1 (coset

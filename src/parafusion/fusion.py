@@ -8,6 +8,7 @@ mod-k grading of the fusion product visible.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -138,12 +139,12 @@ def _same_level(a: IrrLabel, b: IrrLabel) -> int:
     return a.k
 
 
-def _fusion_rule(i1: int, j1: int, i2: int, j2: int, k: int) -> list[tuple[int, int]]:
-    """Canonical (i, j) terms of M[i1,j1]·M[i2,j2]: truncated Clebsch–Gordan
-    |i1-i2| <= r <= min(i1+i2, 2k-i1-i2), r = i1+i2 mod 2, and the Z_2k
-    charge j = (2j1-i1+2j2-i2+r)/2 mod k, identified as in canonical_label
+def _fusion_rule(i1: int, i2: int, c: int, k: int) -> list[tuple[int, int]]:
+    """Canonical (i, j) terms of M[i1,j1]·M[i2,j2], c = j1+j2 mod k: truncated
+    Clebsch–Gordan |i1-i2| <= r <= min(i1+i2, 2k-i1-i2), r = i1+i2 mod 2, and
+    the Z_2k charge j = (2c-i1-i2+r)/2 mod k, identified as in canonical_label
     when j >= r.  Multiplicity-free: distinct r give distinct classes."""
-    s = 2 * j1 - i1 + 2 * j2 - i2
+    s = 2 * c - i1 - i2
     out = []
     for r in range(abs(i1 - i2), min(i1 + i2, 2 * k - i1 - i2) + 1, 2):
         j = (s + r) // 2 % k
@@ -154,7 +155,8 @@ def _fusion_rule(i1: int, j1: int, i2: int, j2: int, k: int) -> list[tuple[int, 
 def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
     """Fusion product of two irreducibles: ``_fusion_rule`` as labels, in repr order."""
     k = _same_level(a, b)
-    found = sorted([_canonical(i, j, k) for i, j in _fusion_rule(a.i, a.j, b.i, b.j, k)])
+    terms = _fusion_rule(a.i, b.i, (a.j + b.j) % k, k)
+    found = sorted([_canonical(i, j, k) for i, j in terms])
     # From a list, not a generator: a resized tuple's oversize block stays
     # in the free lists and raises peak RSS.
     return FusionVector(tuple([(label, 1) for _, label in found]))
@@ -287,9 +289,10 @@ def verify_zk_grading(k: int, rule: Callable = _fusion_rule) -> Report:
     """Check the additive mod-k grading l_out = l1 + l2 of the fusion product.
 
     Also confirms the label identification (i, l) ~ (k-i, k+l) preserves
-    l mod k, so the grading is well defined on canonical classes.  Runs on
-    (i, j) ints with l = i - 2j mod 2k; ``rule`` is injectable so that
-    mutation tests can break it, and failures are labelled only when found.
+    l mod k, so the grading is well defined on canonical classes.  The rule
+    sees a pair only as its cell (i1, i2, c = j1 + j2 mod k), where
+    l1 + l2 = i1 + i2 - 2c mod k, so each of the k^3 cells is checked once;
+    ``rule`` is injectable so that mutation tests can break it.
     """
     if k < 2:
         raise ValueError(f"level must be >= 2, got {k}")
@@ -301,12 +304,11 @@ def verify_zk_grading(k: int, rule: Callable = _fusion_rule) -> Report:
         l_alt = (k - i - 2 * ((j - i) % k)) % two_k
         if (l - l_alt) % k != 0:
             failures.append((canonical_label(i, j, k), "presentation", l, l_alt))
-    for i1, j1, l1 in pairs:
-        for i2, j2, l2 in pairs:
-            for i, j in rule(i1, j1, i2, j2, k):
-                if (i - 2 * j - l1 - l2) % k != 0:
-                    a, b, c = (canonical_label(*p, k) for p in ((i1, j1), (i2, j2), (i, j)))
-                    failures.append((a, b, c, (i - 2 * j) % k, (l1 + l2) % k))
+    for i1, i2, c in itertools.product(range(1, k + 1), range(1, k + 1), range(k)):
+        grade = (i1 + i2 - 2 * c) % k
+        for i, j in rule(i1, i2, c, k):
+            if (i - 2 * j - grade) % k != 0:
+                failures.append(((i1, i2, c), canonical_label(i, j, k), (i - 2 * j) % k, grade))
     return Report(tuple(failures))
 
 

@@ -503,23 +503,26 @@ def weyl_vector(k: int) -> tuple:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return _weyl_vector(sqrt2_a(k - 1))
+    t, row = _weyl_vector(sqrt2_a(k - 1))
+    return tuple(Q(x, t) for x in row)
 
 
-def _weyl_vector(lat: Lattice) -> tuple:
-    # 2·(1, ..., 1)·G^{-1}, with G^{-1} = s·(sG)^{-1}
-    return row_mul((2 * lat._scale,) * lat.rank, mat_inv(lat._int_gram))
+def _weyl_vector(lat: Lattice) -> tuple[int, tuple[int, ...]]:
+    # (t, t·r) for r = 2·(1, ..., 1)·G^{-1}, G = g/s and g^{-1} = inv/t
+    t, inv = cleared_inverse(lat._int_gram)
+    return t, int_mat_mul(((2 * lat._scale,) * lat.rank,), inv)[0]
 
 
 def _weyl_pairings(k: int) -> tuple[Lattice, linalg.IntMat, tuple[int, ...]]:
     """sqrt(2)A_{k-1}, S = 1 - nu and the pairing row r·G·S^T / 2."""
     lat = sqrt2_a(k - 1)
     s = mat_sub(int_identity(k - 1), coxeter_nu(k))
-    pairings = row_mul(row_mul(_weyl_vector(lat), lat._int_gram), transpose(s))
-    out = tuple(e / 2 for e in pairings)
-    if any(e.denominator != 1 for e in out):
+    t, row = _weyl_vector(lat)
+    d = 2 * t * lat._scale  # r·G·S^T / 2 = (t·r)·g·S^T / d
+    pairings = int_mat_mul(int_mat_mul((row,), lat._int_gram), transpose(s))[0]
+    if any(e % d for e in pairings):
         raise AssertionError("pairing row not integral")
-    return lat, s, tuple(int(e) for e in out)
+    return lat, s, tuple(e // d for e in pairings)
 
 
 def weyl_pairing_row(k: int) -> tuple[int, ...]:

@@ -111,16 +111,15 @@ def test_criterion_01_fusion_ring_axioms():
 
 
 def test_criterion_02_cyclic_grading():
-    for k in range(2, 13):
+    for k in range(2, 25):
         report = verify_zk_grading(k)
         assert report.passed, (k, report.failures[:3])
 
     k = 5
-    target = (canonical_label(1, 0, k), canonical_label(2, 0, k))
 
-    def mutant(i1, j1, i2, j2, level):
-        out = _fusion_rule(i1, j1, i2, j2, level)
-        if {(i1, j1), (i2, j2)} == {(x.i, x.j) for x in target}:
+    def mutant(i1, i2, c, level):
+        out = _fusion_rule(i1, i2, c, level)
+        if (i1, i2, c) == (1, 2, 0):
             (i, j), *rest = out
             bad = canonical_label(i, j + 1, level)
             return [(bad.i, bad.j)] + rest
@@ -128,7 +127,8 @@ def test_criterion_02_cyclic_grading():
 
     mutated = verify_zk_grading(k, rule=mutant)
     assert not mutated.passed
-    print("criterion 2: PASS — grading holds for k=2..12; mutation detected")
+    assert [f[0] for f in mutated.failures] == [(1, 2, 0)]
+    print("criterion 2: PASS — grading holds for k=2..24; mutation detected")
 
 
 def test_criterion_03_orbifold_table():

@@ -232,6 +232,36 @@ def test_composites_have_int_bases_and_are_checked():
         compose(nu_hat, bad)
 
 
+def _count(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_composites_are_checked_without_a_type_scan(monkeypatch):
+    lat = sqrt2_a(6)
+    eps = standard_epsilon(lat)
+    nu_hat = lift(coxeter_nu(7), lat, eps, [1, 0, 1, 1, 0, 0])
+    scans = _count(monkeypatch, central, "clear_denominators")
+    polarizations = _count(monkeypatch, central, "b_g_form")
+    forms = _count(monkeypatch, Lattice, "preserves_form")
+    for make in (lambda: compose(nu_hat, nu_hat), lambda: lift_inverse(nu_hat)):
+        for calls in (scans, polarizations, forms):
+            calls.clear()
+        make()
+        # No scan, and the form and the polarization are still checked.
+        assert (scans, polarizations, forms) == ([], [1], [1])
+    # lift_power scans only the identity it starts from, whatever the exponent.
+    for n in (1, 6, 100):
+        scans.clear()
+        lift_power(nu_hat, n)
+        assert scans == [1], n
+    # Outside rows are still cleared: a Fraction base becomes int rows.
+    lf = Lift(lat, eps, mat(coxeter_nu(7)), nu_hat.eta)
+    assert lf.base == coxeter_nu(7) and all(type(e) is int for row in lf.base for e in row)
+
+
 def test_lift_power_sign_basics():
     lat = sqrt2_a(1)
     eps = standard_epsilon(lat)

@@ -359,11 +359,10 @@ def test_zk_grading_rejects_levels_below_two():
 
 def test_zk_grading_catches_mutation():
     k = 5
-    target = (canonical_label(1, 0, k), canonical_label(2, 0, k))
 
-    def mutant(i1, j1, i2, j2, level):
-        out = _fusion_rule(i1, j1, i2, j2, level)
-        if {(i1, j1), (i2, j2)} == {(x.i, x.j) for x in target}:
+    def mutant(i1, i2, c, level):
+        out = _fusion_rule(i1, i2, c, level)
+        if (i1, i2, c) == (1, 2, 0):
             (i, j), *rest = out
             bad = canonical_label(i, j + 1, level)
             return [(bad.i, bad.j)] + rest
@@ -371,7 +370,11 @@ def test_zk_grading_catches_mutation():
 
     report = verify_zk_grading(k, rule=mutant)
     assert not report.passed
-    assert report.failures
+    (cell, term, grade, expected), = report.failures
+    (i, j), *_ = _fusion_rule(1, 2, 0, k)
+    assert cell == (1, 2, 0)
+    assert term == canonical_label(i, j + 1, k)
+    assert (grade - expected) % k == k - 2
 
 
 def test_weight_one_tops_small():

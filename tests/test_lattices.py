@@ -1,5 +1,6 @@
 """Integral lattices: root systems, quotients, shells, isometries."""
 import hashlib
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -423,6 +424,29 @@ def test_weyl_vector_and_pairing_row():
         report = verify_weyl(k)
         assert report.passed
         assert report.dual_membership
+
+
+def fraction_weyl(k):
+    """The ``Fraction`` route to the Weyl vector and report: G^{-1} by
+    ``mat_inv`` and the pairing row r·G·S^T / 2 by ``Fraction`` row products."""
+    lat = sqrt2_a(k - 1)
+    s = mat_sub(linalg.int_identity(k - 1), coxeter_nu(k))
+    r = linalg.row_mul((2 * lat._scale,) * lat.rank, mat_inv(lat._int_gram))
+    out = tuple(e / 2 for e in linalg.row_mul(linalg.row_mul(r, lat._int_gram), transpose(s)))
+    assert all(e.denominator == 1 for e in out)
+    row = tuple(int(e) for e in out)
+    member = all(e % k == 0 for e in row)
+    inv = dual_quotient_invariants(lat, s)
+    passed = row == tuple([0] * (k - 2) + [k]) and member and math.prod(inv) == k
+    return r, lattices_mod.WeylReport(k, passed, row, member, inv)
+
+
+def test_weyl_matches_the_fraction_route():
+    for k in range(3, 33):
+        (r, report), got = fraction_weyl(k), verify_weyl(k)
+        assert got == report and {type(x) for x in got.pairing_row} == {int}, k
+        got = weyl_vector(k)
+        assert got == r and {type(x) for x in got} == {Q}, k
 
 
 def test_c_nu_radical_is_full_lattice():
