@@ -311,17 +311,14 @@ def lift_inverse(lf: Lift) -> Lift:
 
 
 def lift_power(lf: Lift, n: int) -> Lift:
-    """lf^n by repeated squaring, as powers of one lift commute."""
+    """lf^n by squaring lf itself, as powers of one lift commute."""
     if n < 0:
         return lift_power(lift_inverse(lf), -n)
-    out = lift(int_identity(lf.lattice.rank), lf.lattice, lf.eps)
-    while n:
-        if n & 1:
-            out = compose(lf, out)
-        n >>= 1
-        if n:
-            lf = compose(lf, lf)
-    return out
+    if n <= 1:
+        return lf if n else lift(int_identity(lf.lattice.rank), lf.lattice, lf.eps)
+    half = lift_power(lf, n // 2)
+    square = compose(half, half)
+    return compose(lf, square) if n % 2 else square
 
 
 def lifts_equal(a: Lift, b: Lift) -> bool:
@@ -381,8 +378,7 @@ def commuting_lift(f_matrix: Sequence[Sequence], g_lift: Lift, m: int) -> Lift:
             if lam_fn(1 << i | 1 << j) != (lam[i] + lam[j]) % 2:
                 raise AssertionError("mismatch functional is not linear")
     mu = mu_plus_mu_g_solve(g_lift_m.base, lam)
-    corrected = tuple((d + b) % 2 for d, b in zip(xi.eta.diagonal, mu))
-    phi = lift(f, lat, g_lift.eps, corrected)
+    phi = lift(f, lat, g_lift.eps, mu)  # xi's eta diagonal is all zero
     check = compose(lift_inverse(phi), compose(g_lift, phi))
     if not lifts_equal(check, g_lift_m):
         raise AssertionError("constructed lift fails the conjugation relation")

@@ -36,11 +36,7 @@ from .lattices import (
     sublattice,
 )
 from .linalg import int_identity, mat_sub
-from .orbifold import (
-    derive_full_table,
-    verify_collapse,
-    verify_sigma_grading,
-)
+from .orbifold import derive_full_table, verify_collapse
 
 Q = Fraction
 
@@ -298,22 +294,20 @@ def cmd_orbifold_table(args):
 
 def cmd_sigma_check(args):
     k = args.level
-    table = derive_full_table(k)
-    sigma = verify_sigma_grading(table)
+    table = derive_full_table(k)  # raises unless the sign grading passed
     collapse = verify_collapse(table)
-    ok = sigma.passed and collapse.passed
     lines = [
-        f"sign grading k={k}: {'pass' if sigma.passed else 'FAIL'}",
+        f"sign grading k={k}: pass",
         f"collapse consistency k={k}: {'pass' if collapse.passed else 'FAIL'}",
     ]
-    lines += [f"  {f}" for f in sigma.failures + collapse.failures]
+    lines += [f"  {f}" for f in collapse.failures]
     payload = {
         "k": k,
-        "sign_grading": sigma.passed,
+        "sign_grading": True,
         "collapse": collapse.passed,
-        "failures": [repr(f) for f in sigma.failures + collapse.failures],
+        "failures": [repr(f) for f in collapse.failures],
     }
-    return ok, payload, lines
+    return collapse.passed, payload, lines
 
 
 def cmd_lattice_info(args):

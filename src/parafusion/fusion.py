@@ -78,9 +78,6 @@ class FusionVector:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.terms)
-
     def __getitem__(self, label) -> int:
         return self.as_dict().get(label, 0)
 

@@ -31,13 +31,11 @@ from .linalg import (
     integer_row_kernel,
     invariant_factors,
     is_symmetric,
-    mat,
     mat_eq,
     mat_inv,
     mat_mul,
     mat_scale,
     mat_sub,
-    rational_hnf,
     row_mul,
     shell_vectors,
     snf,
@@ -420,8 +418,10 @@ def lattice_intersection(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence])
 
 
 def same_lattice(rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> bool:
-    """Exact equality of the spanned lattices over a common basis."""
-    return rational_hnf(mat(rows_a)) == rational_hnf(mat(rows_b))
+    """Exact equality of the spanned lattices over a common basis: with the
+    rows cleared to (s, s·A) and (t, t·B), t·HNF(s·A) = s·HNF(t·B)."""
+    (s, a), (t, b) = clear_denominators(rows_a), clear_denominators(rows_b)
+    return mat_scale(hnf(a), t) == mat_scale(hnf(b), s)
 
 
 def c_nu_radical(lat: Lattice, nu: Sequence[Sequence], p: int) -> linalg.IntMat:

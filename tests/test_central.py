@@ -252,11 +252,15 @@ def test_composites_are_checked_without_a_type_scan(monkeypatch):
         make()
         # No scan, and the form and the polarization are still checked.
         assert (scans, polarizations, forms) == ([], [1], [1])
-    # lift_power scans only the identity it starts from, whatever the exponent.
+    # lift_power squares from the lift itself: no scan for n >= 1, and
+    # one for n = 0, the identity lift it returns.
     for n in (1, 6, 100):
         scans.clear()
         lift_power(nu_hat, n)
-        assert scans == [1], n
+        assert scans == [], n
+    scans.clear()
+    lift_power(nu_hat, 0)
+    assert scans == [1]
     # Outside rows are still cleared: a Fraction base becomes int rows.
     lf = Lift(lat, eps, mat(coxeter_nu(7)), nu_hat.eta)
     assert lf.base == coxeter_nu(7) and all(type(e) is int for row in lf.base for e in row)
@@ -517,7 +521,7 @@ def test_lift_power_composes_once_per_bit_and_per_squaring(monkeypatch):
     for n in range(1, 40):
         calls.clear()
         lift_power(nu_hat, n)
-        assert len(calls) == bin(n).count("1") + n.bit_length() - 1, n
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 2, n
 
 
 def dense_order(m):

@@ -9,6 +9,7 @@ import pytest
 
 import parafusion.cli as cli_mod
 import parafusion.codes as codes_mod
+import parafusion.orbifold as orbifold_mod
 from parafusion.cli import main
 
 
@@ -86,6 +87,39 @@ def test_sigma_check(capsys):
     payload = json.loads(out)
     assert payload["sign_grading"] is True
     assert payload["collapse"] is True
+
+
+def test_sigma_check_grades_the_table_once(capsys, monkeypatch):
+    calls = []
+    real = orbifold_mod.verify_sigma_grading
+    # Wrapped on the CLI too, so a call through an imported name counts.
+    for owner in (orbifold_mod, cli_mod):
+        monkeypatch.setattr(
+            owner,
+            "verify_sigma_grading",
+            lambda t: calls.append(1) or real(t),
+            raising=False,
+        )
+    code, out, _ = run(capsys, "sigma-check", "-k", "8")
+    assert code == 0 and "sign grading k=8: pass" in out
+    assert calls == [1]
+
+
+def test_sigma_check_sign_grading_failure_is_a_verification_failure(
+    capsys, monkeypatch
+):
+    # derive_full_table raises when the sign grading fails, so the CLI
+    # never prints a FAIL line for it.
+    real = orbifold_mod.sign_character
+    flipped = orbifold_mod.OrbLabel(1, 0, 8)
+    monkeypatch.setattr(
+        orbifold_mod, "sign_character", lambda x: -real(x) if x == flipped else real(x)
+    )
+    code, out, err = run(capsys, "sigma-check", "-k", "8")
+    assert code == 1 and out == ""
+    assert err.startswith(
+        "verification failure: derived table at level 8 fails self-checks"
+    )
 
 
 def a4_gram_file(tmp_path):

@@ -557,6 +557,20 @@ def test_lattice_intersection_and_same():
     assert not same_lattice([[2, 0], [0, 1]], [[1, 0], [0, 1]])
 
 
+def test_same_lattice_on_int_rows_builds_no_fraction(monkeypatch):
+    a, b = [[2, 0], [1, 3]], [[1, 3], [1, -3]]
+    with monkeypatch.context() as m:
+        built = count_fractions(m)
+        assert same_lattice(a, b)
+        assert not same_lattice(a, [[1, 0], [0, 3]])
+        assert built == []
+    for convert in (Q, lambda x: f"{2 * x}/2"):
+        rows = [[convert(x) for x in row] for row in a]
+        assert same_lattice(rows, b)
+        assert not same_lattice(rows, [[1, 0], [0, 3]])
+    assert same_lattice([["1/2", 0], [0, 1]], [[Q(1, 2), 0], [Q(1, 2), 1]])
+
+
 def test_isometry_validation():
     a2 = root_lattice("A", 2)
     with pytest.raises(ValueError):
