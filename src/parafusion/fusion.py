@@ -107,12 +107,13 @@ def canonical_label(i: int, j: int, k: int) -> IrrLabel:
 
 
 @lru_cache(maxsize=None)
-def _canonical(i: int, j: int, k: int) -> tuple[str, IrrLabel]:
-    """(repr, label) of a canonical pair 0 <= j < i <= k, built once and
-    shared by ``fuse`` and ``all_labels``.  Filled on demand: a table of
-    every label per level would be O(k^2)."""
+def _canonical(i: int, j: int, k: int) -> tuple[str, IrrLabel, tuple[IrrLabel, int]]:
+    """(repr, label, (label, 1)) of a canonical pair 0 <= j < i <= k, built
+    once and shared by ``fuse`` and ``all_labels``; every cached fusion cell
+    holds the same term tuple.  Filled on demand: a table of every label per
+    level would be O(k^2)."""
     label = canonical_label(i, j, k)
-    return repr(label), label
+    return repr(label), label, (label, 1)
 
 
 def all_labels(k: int) -> list[IrrLabel]:
@@ -149,14 +150,21 @@ def _fusion_rule(i1: int, i2: int, c: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
-    """Fusion product of two irreducibles: ``_fusion_rule`` as labels, in repr order."""
-    k = _same_level(a, b)
-    terms = _fusion_rule(a.i, b.i, (a.j + b.j) % k, k)
-    found = sorted([_canonical(i, j, k) for i, j in terms])
+@lru_cache(maxsize=None)
+def _fuse_cell(i1: int, i2: int, c: int, k: int) -> FusionVector:
+    """``_fusion_rule`` on the cell (i1, i2, c) as cached label terms, in repr order."""
+    found = sorted([_canonical(i, j, k) for i, j in _fusion_rule(i1, i2, c, k)])
     # From a list, not a generator: a resized tuple's oversize block stays
     # in the free lists and raises peak RSS.
-    return FusionVector(tuple([(label, 1) for _, label in found]))
+    return FusionVector(tuple([term for _, _, term in found]))
+
+
+def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
+    """Fusion product of two irreducibles.  It depends only on the cell
+    (a.i, b.i, (a.j + b.j) mod k), so each cell asked for is built once and
+    every later product in it returns the same vector."""
+    k = _same_level(a, b)
+    return _fuse_cell(a.i, b.i, (a.j + b.j) % k, k)
 
 
 def fuse_vectors(

@@ -289,17 +289,6 @@ def _cleared(m: Iterable[Iterable]) -> tuple[bool, int, IntMat]:
     )
 
 
-def rational_hnf(m: Sequence[Sequence]) -> Mat:
-    """Canonical form of the row lattice of a rational matrix.
-
-    Scales by the lcm of denominators, takes the integer HNF, scales
-    back.  Two rational row sets generate the same lattice iff their
-    canonical forms are equal.
-    """
-    scale, scaled = clear_denominators(m)
-    return tuple(tuple(Fraction(x, scale) for x in row) for row in hnf(scaled))
-
-
 def _hermite_with_transform(m: Sequence[Sequence[int]]):
     """Row HNF keeping zero rows, plus the unimodular row transform.
 

@@ -124,6 +124,35 @@ def test_label_cache_fills_on_demand():
     assert _canonical.cache_info().currsize - before <= len(out)
 
 
+def test_fuse_runs_the_rule_once_per_cell(monkeypatch):
+    import parafusion.fusion as fusion_mod
+
+    k = 7
+    calls = []
+
+    def counting_rule(i1, i2, c, k):
+        calls.append((i1, i2, c, k))
+        return _fusion_rule(i1, i2, c, k)
+
+    monkeypatch.setattr(fusion_mod, "_fusion_rule", counting_rule)
+    fusion_mod._fuse_cell.cache_clear()
+    labels = all_labels(k)
+    first = {}
+    for _ in range(2):
+        for x in labels:
+            for y in labels:
+                cell = (x.i, y.i, (x.j + y.j) % k)
+                got = fuse(x, y)
+                # Pairs in one cell share one vector, whose terms are the
+                # tuples _canonical holds for their labels.
+                assert first.setdefault(cell, got) is got, (x, y)
+                assert all(t is _canonical(t[0].i, t[0].j, k)[2] for t in got.terms)
+    assert sorted(calls) == sorted((i1, i2, c, k) for i1, i2, c in first)
+    with pytest.raises(LevelMismatchError):
+        fuse(canonical_label(1, 0, 5), canonical_label(1, 0, 6))
+    assert len(calls) == len(first)
+
+
 def test_fuse_known_example():
     a = canonical_label(1, 0, 5)
     got = fuse(a, a).as_dict()

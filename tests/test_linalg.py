@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from parafusion.linalg import (
     _levels,
+    clear_denominators,
     coset_minimum,
     det,
     enumerate_quadratic,
@@ -23,7 +24,6 @@ from parafusion.linalg import (
     mat_inv,
     mat_mul,
     rank,
-    rational_hnf,
     row_mul,
     shell_vectors,
     size_reduce_basis,
@@ -344,6 +344,13 @@ def test_size_reduce_preserves_lattice():
     assert (int_gram, int_u) == (new_gram, u)
     assert {type(x) for row in int_gram for x in row} == {int}
     assert {type(x) for row in new_gram for x in row} == {Q}
+
+
+def rational_hnf(m):
+    """Test oracle: the canonical form of a rational row lattice, as the
+    integer HNF of the cleared rows scaled back."""
+    scale, scaled = clear_denominators(m)
+    return tuple(tuple(Q(x, scale) for x in row) for row in hnf(scaled))
 
 
 def test_rational_hnf_equality_is_lattice_equality():
