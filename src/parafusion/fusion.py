@@ -4,7 +4,8 @@ Irreducibles are labelled by pairs (i, j) with 0 <= i <= k and j mod k,
 subject to the identification (i, j) ~ (k-i, j-i).  The canonical
 representative has 0 <= j < i <= k; the identity is (k, 0).  The
 equivalent "tilde" labelling (i, l) with l = i - 2j mod 2k makes the
-mod-k grading of the fusion product visible.
+mod-k grading of the fusion product visible.  The based-ring checks
+read any ring given as index cells, as the orbifold ring and U are.
 """
 from __future__ import annotations
 
@@ -288,6 +289,41 @@ def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> 
     if r != len(basis):
         failures.append(("generators_span", r, len(basis)))
     return Report(tuple(failures))
+
+
+def _check_cells(cells, n: int) -> None:
+    """Raise ValueError unless the cells are n × n and their terms lie in range(n)."""
+    if {len(cells), *map(len, cells)} != {n} or any(
+        c and (c[0][0] < 0 or c[-1][0] >= n) for row in cells for c in row
+    ):
+        raise ValueError(f"expected {n} x {n} cells with term indices in range({n})")
+
+
+def verify_based_ring(cells, n: int, gens: Sequence[int]) -> Report:
+    """Based-ring axioms (EGNO, *Tensor Categories*, ch. 3) on n × n index
+    cells, cells[x][y] the index-ordered (z, m) terms of x·y and 0 the unit:
+    ("nonnegativity", x, y), ("symmetry", x, y), ("identity", x), Light's test."""
+    _check_cells(cells, n)
+    failures = [("identity", x) for x in range(n) if cells[0][x] != ((x, 1),)]
+    for x, row in enumerate(cells):
+        for y, cell in enumerate(row):
+            if any(m < 0 for _, m in cell):
+                failures.append(("nonnegativity", x, y))
+            if cell != cells[y][x]:
+                failures.append(("symmetry", x, y))
+    light = verify_associativity(range(n), lambda x, y: cells[x][y], gens)
+    return Report((*failures, *light.failures))
+
+
+def verify_character(cells, chi: Sequence[int]) -> Report:
+    """Check chi[x]·chi[y] = chi[z] (chi: index -> ±1) for each nonzero term z
+    of x·y on len(chi)-square index cells, failing as ("sign_grading", x, y, z)."""
+    _check_cells(cells, len(chi))
+    return Report(tuple(
+        ("sign_grading", x, y, z)
+        for x, row in enumerate(cells) for y, cell in enumerate(row)
+        for z, m in cell if m and chi[x] * chi[y] != chi[z]
+    ))
 
 
 def verify_zk_grading(k: int, rule: Callable = _fusion_rule) -> Report:

@@ -3,9 +3,9 @@
 Basis labels are (j, eps) with 0 <= j <= floor(k/2) and eps in {0, 1};
 the identity is (0, 0).  The full multiplication table is not postulated:
 it is rederived from the two generator rows (0, 1) and (1, 0) by operator
-recursion and then subjected to ring self-checks, including consistency
-with the parafermion fusion ring under the two-to-one collapse
-(j, 0) + (j, 1) -> sigma-type class with index j.
+recursion, then checked on its index cells by the shared based-ring and
+sign-character checks of ``fusion``, and against the parafermion fusion
+ring under the two-to-one collapse (j, 0) + (j, 1) -> sigma-type class j.
 """
 from __future__ import annotations
 
@@ -19,7 +19,8 @@ from .fusion import (
     fuse,
     is_sigma_type,
     sigma_type_index,
-    verify_associativity,
+    verify_based_ring,
+    verify_character,
 )
 from .linalg import int_identity, int_mat_mul, mat_sub, transpose
 
@@ -107,9 +108,7 @@ class OrbifoldTable:
     holds the nonzero (index, mult) terms of x·y, in index order."""
 
     def __init__(self, k: int, cells):
-        self.k = k
-        self.basis = orbifold_basis(k)
-        self.cells = cells
+        self.k, self.basis, self.cells = k, orbifold_basis(k), cells
 
     def product(self, x: OrbLabel, y: OrbLabel) -> FusionVector:
         cell = self.cells[2 * x.j + x.eps][2 * y.j + y.eps]
@@ -146,58 +145,30 @@ def derive_full_table(k: int) -> OrbifoldTable:
     table = OrbifoldTable(k, cells)
     report = verify_table(table)
     if not report.passed:
-        raise AssertionError(
-            f"derived table at level {k} fails self-checks: {report.failures}"
-        )
+        raise AssertionError(f"derived table at level {k} fails self-checks: {report.failures}")
     return table
 
 
 def verify_table(table: OrbifoldTable) -> Report:
-    """Run every internal self-check on a derived table."""
+    """Run every self-check on a derived table: the based-ring axioms (Light's test
+    on W[0,1], W[1,0]), the sign grading, generator commutation and seed rows."""
     cells, basis = table.cells, table.basis
-    n = len(basis)
-    failures = []
-
-    a1, a2 = _operator(cells[1]), _operator(cells[2])  # W[0,1], W[1,0]
-    if int_mat_mul(a1, a2) != int_mat_mul(a2, a1):
-        failures.append(("generator_commutation",))
-
-    for x in range(n):
-        for y in range(n):
-            cell = cells[x][y]
-            if any(m < 0 for _, m in cell):
-                vec = FusionVector(tuple((basis[z], m) for z, m in cell))
-                failures.append(("nonnegativity", basis[x], basis[y], vec))
-            if cell != cells[y][x]:
-                failures.append(("symmetry", basis[x], basis[y]))
-        if cells[0][x] != ((x, 1),):
-            failures.append(("identity", basis[x], table.product(basis[0], basis[x])))
-
-    for g in (1, 2):
-        for y in range(n):
-            if cells[g][y] != _generator_cell(g, y, table.k):
-                failures.append(("generator_row", basis[g], basis[y]))
-
-    failures.extend(verify_sigma_grading(table).failures)
-    light = verify_associativity(range(n), lambda x, y: cells[x][y], (1, 2))
-    failures.extend(
-        (f[0], *(basis[t] for t in f[1:])) if f[0] == "associativity" else f
-        for f in light.failures
-    )
+    ring = verify_based_ring(cells, len(basis), (1, 2))  # raises on a malformed table
+    a, b = _operator(cells[1]), _operator(cells[2])  # W[0,1], W[1,0]
+    failures = [("generator_commutation",)] if int_mat_mul(a, b) != int_mat_mul(b, a) else []
+    failures += [("generator_row", basis[g], basis[y]) for g in (1, 2)
+                 for y, cell in enumerate(cells[g]) if cell != _generator_cell(g, y, table.k)]
+    failures += verify_sigma_grading(table).failures
+    failures += [f if f[0] == "generators_span" else (f[0], *(basis[t] for t in f[1:]))
+                 for f in ring.failures]
     return Report(tuple(failures))
 
 
 def verify_sigma_grading(table: OrbifoldTable) -> Report:
     """Check the sign character multiplies along every nonzero product."""
     basis = table.basis
-    sign = [sign_character(x) for x in basis]
-    failures = []
-    for x, row in enumerate(table.cells):
-        for y, cell in enumerate(row):
-            for z, m in cell:
-                if m and sign[x] * sign[y] != sign[z]:
-                    failures.append(("sign_grading", basis[x], basis[y], basis[z]))
-    return Report(tuple(failures))
+    graded = verify_character(table.cells, [sign_character(x) for x in basis])
+    return Report(tuple((f[0], *(basis[t] for t in f[1:])) for f in graded.failures))
 
 
 def sigma_label(j: int, k: int):
@@ -214,8 +185,7 @@ def verify_collapse(table: OrbifoldTable) -> Report:
     eps-summed orbifold product must equal the parafermion product with
     every index j expanded to (j,0) + (j,1).
     """
-    k = table.k
-    top = k // 2
+    k, top = table.k, table.k // 2
     failures = []
     for j1 in range(top + 1):
         x = sigma_label(j1, k)

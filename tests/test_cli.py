@@ -105,6 +105,28 @@ def test_sigma_check_grades_the_table_once(capsys, monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sigma_check_fails_on_a_cell_moved_in_j(capsys, monkeypatch, fmt):
+    # W[1,0]·W[1,0] = W[0,0] + W[1,1] + W[2,0] loses W[2,0] (index 4) to
+    # W[1,0] (index 2) after the derivation's own checks have passed.
+    real = orbifold_mod.derive_full_table
+
+    def derive_with_a_moved_cell(k):
+        table = real(k)
+        assert table.cells[2][2] == ((0, 1), (3, 1), (4, 1))
+        table.cells[2][2] = ((0, 1), (2, 1), (3, 1))
+        return table
+
+    monkeypatch.setattr(cli_mod, "derive_full_table", derive_with_a_moved_cell)
+    code, out, err = run(capsys, "sigma-check", "-k", "8", "--format", fmt)
+    assert code == 1 and err == ""
+    if fmt == "text":
+        assert "collapse consistency k=8: FAIL" in out.splitlines()
+    else:
+        payload = json.loads(out)
+        assert payload["collapse"] is False and payload["failures"]
+
+
 def test_sigma_check_sign_grading_failure_is_a_verification_failure(
     capsys, monkeypatch
 ):

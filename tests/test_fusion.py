@@ -28,6 +28,8 @@ from parafusion.fusion import (
     twisted_conformal_weight,
     untwisted_coset_weight,
     verify_associativity,
+    verify_based_ring,
+    verify_character,
     verify_weight_one_tops,
     verify_zk_grading,
 )
@@ -423,3 +425,48 @@ def test_fusion_vector_algebra():
     assert v[canonical_label(3, 0, k)] == 0
     with pytest.raises(ValueError):
         FusionVector.from_pairs([(x, -1)])
+
+
+# The group ring of Z/3 on indices 0, 1, 2: x·y = (x + y) mod 3.
+Z3 = [[(((x + y) % 3, 1),) for y in range(3)] for x in range(3)]
+
+
+def test_based_ring_check_reports_by_index():
+    assert verify_based_ring(Z3, 3, (1,)).passed
+    assert verify_based_ring(Z3, 3, (0,)).failures == (("generators_span", 1, 3),)
+    cells = [list(row) for row in Z3]
+    cells[1][2] = ((0, -1),)  # negative, and no longer equal to cells[2][1]
+    cells[0][2] = ((1, 1), (2, 1))  # not the unit row
+    failures = verify_based_ring(cells, 3, (1,)).failures
+    assert failures[:6] == (
+        ("identity", 2),
+        ("symmetry", 0, 2),
+        ("nonnegativity", 1, 2),
+        ("symmetry", 1, 2),
+        ("symmetry", 2, 0),
+        ("symmetry", 2, 1),
+    )
+    assert {f[0] for f in failures[6:]} == {"associativity"}
+
+
+def test_character_check_reports_by_index():
+    # Z/3 has no sign character but the trivial one: with chi(1) = -1,
+    # 1·2 = 2·1 = 0 and 2·2 = 1 break it.
+    assert verify_character(Z3, (1, 1, 1)).passed
+    assert verify_character(Z3, (1, -1, 1)).failures == (
+        ("sign_grading", 1, 2, 0), ("sign_grading", 2, 1, 0), ("sign_grading", 2, 2, 1),
+    )
+
+
+@pytest.mark.parametrize("cells", [
+    Z3[:2],  # a row missing
+    [row[:2] for row in Z3],  # a column missing
+    [Z3[0], Z3[1], (((3, 1),), ((0, 1),), ((1, 1),))],  # a term past the basis
+    [Z3[0], Z3[1], (((-1, 1),), ((0, 1),), ((1, 1),))],  # a negative index
+])
+def test_malformed_cells_are_a_value_error(cells):
+    shape = r"expected 3 x 3 cells with term indices in range\(3\)"
+    with pytest.raises(ValueError, match=shape):
+        verify_based_ring(cells, 3, (1,))
+    with pytest.raises(ValueError, match="expected 3 x 3"):
+        verify_character(cells, (1, 1, 1))

@@ -291,3 +291,39 @@ def test_sparse_derivation_matches_dense_recursion():
         table = derive_full_table(k)
         got = {(x, y): table.product(x, y) for x in table.basis for y in table.basis}
         assert got == dense_derivation(k), k
+
+
+def with_cell(table, x, y, cell):
+    """The table with the single cell x·y replaced by the index terms ``cell``."""
+    cells = [list(row) for row in table.cells]
+    cells[2 * x.j + x.eps][2 * y.j + y.eps] = cell
+    return OrbifoldTable(table.k, cells)
+
+
+def test_ring_failure_kinds_name_labels():
+    k = 5
+    table = derive_full_table(k)
+    w10, w11, w20, w21 = (OrbLabel(j, e, k) for j, e in ((1, 0), (1, 1), (2, 0), (2, 1)))
+    # W[2,0]·W[2,0] = W[0,0] + W[1,1], here with W[1,1] made negative.
+    assert table.cells[4][4] == ((0, 1), (3, 1))
+    cases = [
+        (with_cell(table, w20, w20, ((0, 1), (3, -1))), "nonnegativity",
+         [("nonnegativity", w20, w20)]),
+        (with_cell(table, w11, w21, table.cells[4][4]), "symmetry",
+         [("symmetry", w11, w21), ("symmetry", w21, w11)]),
+        (with_cell(table, OrbLabel(0, 0, k), w10, ((2, 2),)), "identity", [("identity", w10)]),
+    ]
+    for broken, kind, expected in cases:
+        report = verify_table(broken)
+        assert [f for f in report.failures if f[0] == kind] == expected, kind
+
+
+def test_malformed_table_is_a_value_error():
+    k = 4
+    cells = [list(row) for row in derive_full_table(k).cells]
+    cells[3][2] = ((99, 1),)
+    for verify in (verify_table, verify_sigma_grading):
+        with pytest.raises(ValueError, match="expected 6 x 6 cells"):
+            verify(OrbifoldTable(k, cells))
+    with pytest.raises(ValueError, match="expected 6 x 6 cells"):
+        verify_table(OrbifoldTable(k, derive_full_table(k).cells[:-1]))

@@ -6,6 +6,8 @@ from importlib import resources
 
 import pytest
 
+import parafusion.u5a as u5a_mod
+from parafusion.fusion import verify_based_ring
 from parafusion.u5a import (
     all_pairs,
     b_pairing,
@@ -211,3 +213,59 @@ def test_golden_tables_well_formed():
     for i in range(9):
         for j in range(9):
             assert table[i][j] == table[j][i]
+
+
+def u_cells():
+    """U's induced 9×9 table as index cells, built from ``u_fuse``."""
+    rows = golden_rows()
+    return [[tuple((z, 1) for z in u_fuse(i, j, rows)) for j in range(9)] for i in range(9)]
+
+
+def test_light_test_on_u():
+    cells = u_cells()
+    assert verify_based_ring(cells, 9, (1, 3)).passed
+    for gens in ((1,), (3,)):
+        assert verify_based_ring(cells, 9, gens).failures == (("generators_span", 3, 9),)
+
+
+def renamed(failures):
+    return tuple(("fusion_symmetry", *f[1:]) if f[0] == "symmetry" else f for f in failures)
+
+
+@pytest.mark.parametrize("i, j, cell, expected", [
+    (4, 4, ((0, 1), (2, 1), (3, -1), (5, 1), (6, 1), (8, 1)), ("nonnegativity", 4, 4)),
+    (1, 3, ((5, 1),), ("fusion_symmetry", 1, 3)),
+    (0, 7, ((7, 2),), ("identity", 7)),
+], ids=["nonnegativity", "symmetry", "identity"])
+def test_induced_table_reports_the_shared_ring_failures(monkeypatch, i, j, cell, expected):
+    # One induced cell is changed on its way into the shared check.
+    real, seen = verify_based_ring, []
+
+    def mutated(cells, n, gens):
+        cells = [list(row) for row in cells]
+        assert cells[i][j] != cell
+        cells[i][j] = cell
+        seen.append(real(cells, n, gens))
+        return seen[-1]
+
+    monkeypatch.setattr(u5a_mod, "verify_based_ring", mutated)
+    report = verify_induction_tables()
+    assert expected in report.failures
+    assert report.failures == renamed(seen[0].failures)
+
+
+def test_a_changed_u_fuse_cell_is_a_fusion_symmetry_failure(monkeypatch):
+    real = u5a_mod.u_fuse
+
+    def u_fuse_with_1x3_moved(i, j, rows, reps=None, index=None):
+        return (5,) if (i, j) == (1, 3) else real(i, j, rows, reps, index)
+
+    monkeypatch.setattr(u5a_mod, "u_fuse", u_fuse_with_1x3_moved)
+    report = verify_induction_tables()
+    assert report.failures[:3] == (
+        ("fusion_cell", 1, 3, (5,), (4,)),
+        ("fusion_symmetry", 1, 3),
+        ("fusion_symmetry", 3, 1),
+    )
+    # Light's test, new to U, sees the moved cell too.
+    assert {f[0] for f in report.failures[3:]} == {"associativity"}
