@@ -191,9 +191,9 @@ def load_code(path: str):
 
 # Levels past these bounds are usage errors rather than runs of minutes or
 # a MemoryError.  On a 2-core x86 host: lift-order takes up to k sparse
-# (k-1)x(k-1) products, 0.4 s at k = 128; sigma-check and orbifold-table
-# keep k+2 operators of (k+2)^2 entries, 0.9-1.8 s and up to 103 MB at
-# k = 128; zk-check makes k^3 rule calls, ~k^4 terms, 0.8-1.3 s at k = 64.  Codes
+# (k-1)x(k-1) products, 0.4 s at k = 128; at k = 128 sigma-check takes 0.8-0.9 s
+# and 45 MB, orbifold-table 1.3-1.7 s and 85 MB (text) or 3.0-3.3 s and 248 MB
+# (JSON); zk-check makes k^3 rule calls, ~k^4 terms, 0.8-1.3 s at k = 64.  Codes
 # are capped in ``codes`` at p <= 13, d <= 16 and 16 generators: lc-verify
 # on 16 random generators takes 0.9 s at p = 13, d = 1, 1.4 s and 77 MB at
 # d = 8, and 2.4 s and 132 MB at d = 16, but 8.3 s at p = 17, d = 1 (coset

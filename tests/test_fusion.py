@@ -463,6 +463,7 @@ def test_character_check_reports_by_index():
     [row[:2] for row in Z3],  # a column missing
     [Z3[0], Z3[1], (((3, 1),), ((0, 1),), ((1, 1),))],  # a term past the basis
     [Z3[0], Z3[1], (((-1, 1),), ((0, 1),), ((1, 1),))],  # a negative index
+    [Z3[0], Z3[1], (((0, 1), (99, 1), (2, 1)), ((0, 1),), ((1, 1),))],  # out of index order
 ])
 def test_malformed_cells_are_a_value_error(cells):
     shape = r"expected 3 x 3 cells with term indices in range\(3\)"

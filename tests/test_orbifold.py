@@ -260,8 +260,8 @@ def test_derived_tables_and_collapse_up_to_level_32():
 
 
 def dense_derivation(k):
-    """Test oracle: derive_full_table's operator recursion with dense
-    linalg.mat_mul products, as the products of an OrbifoldTable."""
+    """Test oracle: the recursion of derive_full_table on dense multiplication
+    operators with linalg.mat_mul products, as the products of an OrbifoldTable."""
     basis = orbifold_basis(k)
     idx = {lab: t for t, lab in enumerate(basis)}
 
@@ -287,7 +287,7 @@ def dense_derivation(k):
 
 
 def test_sparse_derivation_matches_dense_recursion():
-    for k in range(3, 25):
+    for k in [*range(3, 25), 32, 64]:
         table = derive_full_table(k)
         got = {(x, y): table.product(x, y) for x in table.basis for y in table.basis}
         assert got == dense_derivation(k), k
@@ -320,10 +320,31 @@ def test_ring_failure_kinds_name_labels():
 
 def test_malformed_table_is_a_value_error():
     k = 4
-    cells = [list(row) for row in derive_full_table(k).cells]
-    cells[3][2] = ((99, 1),)
-    for verify in (verify_table, verify_sigma_grading):
-        with pytest.raises(ValueError, match="expected 6 x 6 cells"):
-            verify(OrbifoldTable(k, cells))
+    # A term past the basis, and one inside a cell that is out of index order.
+    for x, y, cell in ((3, 2, ((99, 1),)), (2, 2, ((0, 1), (99, 1), (2, 1)))):
+        cells = [list(row) for row in derive_full_table(k).cells]
+        cells[x][y] = cell
+        for verify in (verify_table, verify_sigma_grading):
+            with pytest.raises(ValueError, match="expected 6 x 6 cells"):
+                verify(OrbifoldTable(k, cells))
     with pytest.raises(ValueError, match="expected 6 x 6 cells"):
         verify_table(OrbifoldTable(k, derive_full_table(k).cells[:-1]))
+
+
+def test_generators_that_do_not_commute_fail_verify_table():
+    # Commutation is implied by symmetry and Light's test on the same cells,
+    # so no check of its own reports it.  W[1,0]·W[1,0] = W[0,0] + W[1,1] + W[2,0]
+    # becomes W[0,0] + W[1,1] + 2 W[2,0]: the cell stays symmetric and graded.
+    k = 5
+    w01, w10 = OrbLabel(0, 1, k), OrbLabel(1, 0, k)
+    table = derive_full_table(k)
+    assert table.cells[2][2] == ((0, 1), (3, 1), (4, 1))
+    broken = with_cell(table, w10, w10, ((0, 1), (3, 1), (4, 2)))
+
+    def twice(g, h):  # g·(h·W[1,0]) in the broken table
+        return fuse_vectors(FusionVector(((g, 1),)), broken.product(h, w10), broken.product)
+
+    assert twice(w01, w10) != twice(w10, w01)
+    report = verify_table(broken)
+    assert ("generator_row", w10, w10) in report.failures
+    assert {f[0] for f in report.failures} == {"generator_row", "associativity"}
