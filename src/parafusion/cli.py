@@ -45,14 +45,11 @@ class UsageError(Exception):
     """Bad input from the user: malformed JSON, a bad label or entry."""
 
 
-def _encode(obj):
+def _json_default(obj):
+    """JSON for the one non-JSON type a payload holds: a Fraction as "a/b"."""
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _encode(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _parse_label(text: str, k: int):
@@ -267,29 +264,23 @@ def cmd_zk_check(args):
 def cmd_orbifold_table(args):
     k = args.level
     table = derive_full_table(k)
-    basis = table.basis
-    lines, cells = [], []
-    for s, x in enumerate(basis):
-        for y in basis[s:]:
-            vec = table.product(x, y)
-            terms = list(vec)
-            lines.append(
-                f"{x!r} * {y!r} = "
-                + " + ".join(
-                    (f"{m}*{z!r}" if m != 1 else repr(z)) for z, m in terms
-                )
-            )
-            cells.append(
-                {
-                    "left": [x.j, x.eps],
-                    "right": [y.j, y.eps],
-                    "terms": [
-                        {"j": z.j, "eps": z.eps, "mult": m} for z, m in terms
-                    ],
-                }
-            )
-    payload = {"k": k, "cells": cells}
-    return True, payload, lines
+    # Terms print in repr order, as a FusionVector sorts them: at k >= 20
+    # W[10,0] sorts before W[2,0], unlike the basis indices.
+    names = [repr(x) for x in table.basis]
+    rank = {z: r for r, z in enumerate(sorted(range(len(names)), key=names.__getitem__))}
+    pairs = [(x, y, sorted(table.cells[x][y], key=lambda t: rank[t[0]]))
+             for x in range(len(names)) for y in range(x, len(names))]
+    if args.format == "json":
+        return True, {"k": k, "cells": [
+            {"left": [x // 2, x % 2], "right": [y // 2, y % 2],
+             "terms": [{"j": z // 2, "eps": z % 2, "mult": m} for z, m in terms]}
+            for x, y, terms in pairs
+        ]}, []
+    return True, None, [
+        f"{names[x]} * {names[y]} = "
+        + " + ".join(f"{m}*{names[z]}" if m != 1 else names[z] for z, m in terms)
+        for x, y, terms in pairs
+    ]
 
 
 def cmd_sigma_check(args):
@@ -608,7 +599,7 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(_encode(payload), indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
     else:
         for line in lines:
             print(line)

@@ -36,9 +36,15 @@ class IrrLabel:
                 f"({self.i},{self.j}) is not canonical at level {self.k}; "
                 "use canonical_label()"
             )
+        # Hashed and printed once: labels key every fusion dict and sort.
+        object.__setattr__(self, "_hash", hash((self.i, self.j, self.k)))
+        object.__setattr__(self, "_repr", f"M[{self.i},{self.j}]")
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
-        return f"M[{self.i},{self.j}]"
+        return self._repr
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class FusionVector:
                 raise ValueError("negative multiplicity")
             if mult:
                 acc[label] = acc.get(label, 0) + mult
-        return FusionVector(tuple(sorted(acc.items(), key=lambda t: repr(t[0]))))
+        return FusionVector(tuple(sorted(acc.items(), key=_by_repr)))
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -93,6 +99,10 @@ class FusionVector:
         return sum(m for _, m in self.terms)
 
 
+def _by_repr(term: tuple[object, int]) -> str:
+    return repr(term[0])
+
+
 def canonical_label(i: int, j: int, k: int) -> IrrLabel:
     """Reduce (i, j) to canonical form: 0 <= j < i <= k, identity (k, 0)."""
     if k < 2:
@@ -102,22 +112,21 @@ def canonical_label(i: int, j: int, k: int) -> IrrLabel:
     j %= k
     if j >= i:
         i, j = k - i, j - i
-    return IrrLabel(i, j, k)
+    return _canonical(i, j, k)[0]
 
 
 @lru_cache(maxsize=None)
-def _canonical(i: int, j: int, k: int) -> tuple[str, IrrLabel, tuple[IrrLabel, int]]:
-    """(repr, label, (label, 1)) of a canonical pair 0 <= j < i <= k, built
-    once and shared by ``fuse`` and ``all_labels``; every cached fusion cell
-    holds the same term tuple.  Filled on demand: a table of every label per
-    level would be O(k^2)."""
-    label = canonical_label(i, j, k)
-    return repr(label), label, (label, 1)
+def _canonical(i: int, j: int, k: int) -> tuple[IrrLabel, tuple[IrrLabel, int]]:
+    """(label, (label, 1)) of a canonical pair 0 <= j < i <= k, built once and
+    handed out by ``canonical_label``, ``fuse`` and ``all_labels``; every cached
+    cell holds the same term tuple.  Filled on demand: all labels are O(k^2)."""
+    label = IrrLabel(i, j, k)
+    return label, (label, 1)
 
 
 def all_labels(k: int) -> list[IrrLabel]:
     """All k(k+1)/2 canonical labels at level k, sorted."""
-    return [_canonical(i, j, k)[1] for i in range(1, k + 1) for j in range(i)]
+    return [_canonical(i, j, k)[0] for i in range(1, k + 1) for j in range(i)]
 
 
 def to_tilde(label: IrrLabel) -> TildeLabel:
@@ -128,12 +137,6 @@ def from_tilde(t: TildeLabel) -> IrrLabel:
     # Solve 2j = i - l mod 2k, i.e. j = (i - l)/2 mod k.
     j = ((t.i - t.l) // 2) % t.k
     return canonical_label(t.i, j, t.k)
-
-
-def _same_level(a: IrrLabel, b: IrrLabel) -> int:
-    if a.k != b.k:
-        raise LevelMismatchError(f"levels differ: {a.k} vs {b.k}")
-    return a.k
 
 
 def _fusion_rule(i1: int, i2: int, c: int, k: int) -> list[tuple[int, int]]:
@@ -152,17 +155,19 @@ def _fusion_rule(i1: int, i2: int, c: int, k: int) -> list[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _fuse_cell(i1: int, i2: int, c: int, k: int) -> FusionVector:
     """``_fusion_rule`` on the cell (i1, i2, c) as cached label terms, in repr order."""
-    found = sorted([_canonical(i, j, k) for i, j in _fusion_rule(i1, i2, c, k)])
     # From a list, not a generator: a resized tuple's oversize block stays
     # in the free lists and raises peak RSS.
-    return FusionVector(tuple([term for _, _, term in found]))
+    found = [_canonical(i, j, k)[1] for i, j in _fusion_rule(i1, i2, c, k)]
+    return FusionVector(tuple(sorted(found, key=_by_repr)))
 
 
 def fuse(a: IrrLabel, b: IrrLabel) -> FusionVector:
     """Fusion product of two irreducibles.  It depends only on the cell
     (a.i, b.i, (a.j + b.j) mod k), so each cell asked for is built once and
     every later product in it returns the same vector."""
-    k = _same_level(a, b)
+    k = a.k
+    if b.k != k:
+        raise LevelMismatchError(f"levels differ: {k} vs {b.k}")
     return _fuse_cell(a.i, b.i, (a.j + b.j) % k, k)
 
 
@@ -173,12 +178,16 @@ def fuse_vectors(
 ) -> FusionVector:
     """Bilinear extension of ``product`` on basis labels (by default
     ``fuse``) to multiplicity vectors."""
-    pairs = []
+    acc: dict = {}  # from_pairs' loop, inline: no generator step per term
     for x, mx in va:
         for y, my in vb:
             for z, mz in product(x, y):
-                pairs.append((z, mx * my * mz))
-    return FusionVector.from_pairs(pairs)
+                m = mx * my * mz
+                if m < 0:
+                    raise ValueError("negative multiplicity")
+                if m:
+                    acc[z] = acc.get(z, 0) + m
+    return FusionVector(tuple(sorted(acc.items(), key=_by_repr)))
 
 
 def simple_current(p: int, k: int) -> IrrLabel:
@@ -247,31 +256,38 @@ class Report:
     def passed(self) -> bool:
         return not self.failures
 
+    def relabel(self, basis: Sequence) -> "Report":
+        """Index failures read as basis labels ("generators_span" holds counts)."""
+        return Report(tuple(f if f[0] == "generators_span" else (f[0], *(basis[t] for t in f[1:]))
+                            for f in self.failures))
 
-def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> Report:
-    """Exact associativity proof by Light's test (Clifford–Preston I, §1.2).
 
-    ``product(x, y)`` yields the (z, mult) terms of x·y on a hashable basis.
-    The g with (x·g)·y = x·(g·y) for all x, y form a subalgebra, so testing
-    each generator (failing as ("associativity", x, g, y)) suffices once the
-    products kept while independent reach rank n ("generators_span", r, n).
-    """
+def _light_test(cells, gens: Sequence[int]) -> list[tuple]:
+    """Light's test (Clifford–Preston I, §1.2) on n × n index cells of distinct
+    terms: the g with (x·g)·y = x·(g·y) for all x, y form a subalgebra, so each
+    generator is tested (("associativity", x, g, y)) and the products kept while
+    independent must reach rank n (("generators_span", r, n)).  A cell is packed
+    into one int, w bits per index: with T terms per cell and |m| <= M, every field
+    of either side is within ±T·M² < 2^(w-1), so int equality is vector equality."""
+    n, flat = len(cells), list(itertools.chain.from_iterable(cells))
+    big = max(map(len, flat), default=0) * max((abs(m) for c in flat for _, m in c), default=0) ** 2
+    w = big.bit_length() + 2
+    packed = [[sum([m << w * z for z, m in cell]) for cell in row] for row in cells]
+    failures, zero = [], [0] * n
+    for g in gens:
+        for x in range(n):
+            px = packed[x]
+            left = [sum(c) for c in zip(zero, *([m * p for p in packed[z]] for z, m in cells[x][g]))]
+            failures += [("associativity", x, g, y) for y, gy in enumerate(cells[g])
+                         if left[y] != sum([m * px[v] for v, m in gy])]
 
-    def times(u, v, prod: Callable = product) -> dict:
-        acc: dict = {}  # sum of mx·my·(x·y) over the terms of u and v
-        for x, mx in u:
-            for y, my in v:
-                for z, mz in prod(x, y):
-                    acc[z] = acc.get(z, 0) + mx * my * mz
+    def times(v: dict, g: int) -> dict:  # v·g, zeros dropped
+        acc: dict = {}
+        for x, mx in v.items():
+            for z, mz in cells[x][g]:
+                acc[z] = acc.get(z, 0) + mx * mz
         return {z: m for z, m in acc.items() if m}
 
-    xg = {(x, g): product(x, g) for g in gens for x in basis}
-    gy = {(g, y): product(g, y) for g in gens for y in basis}
-    failures = [
-        ("associativity", x, g, y)
-        for g in gens for x in basis for y in basis
-        if times(xg[x, g], ((y, 1),)) != times(((x, 1),), gy[g, y])
-    ]
     pivots, reached = [], [{g: 1} for g in gens]
     for v in reached:
         row = v
@@ -282,10 +298,30 @@ def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> 
                 row = {x: m for x, m in row.items() if m}
         if row:  # v is independent of the kept vectors, so len(pivots) is their rank
             pivots.append((next(iter(row)), row))
-            reached.extend(times(v.items(), ((g, 1),), lambda x, h: xg[x, h]) for g in gens)
-    if len(pivots) != len(basis):
-        failures.append(("generators_span", len(pivots), len(basis)))
-    return Report(tuple(failures))
+            reached.extend(times(v, g) for g in gens)
+    if len(pivots) != n:
+        failures.append(("generators_span", len(pivots), n))
+    return failures
+
+
+def verify_associativity(basis: Sequence, product: Callable, gens: Sequence) -> Report:
+    """Exact associativity proof by Light's test (``_light_test``) on a hashable
+    basis: ``product(x, y)`` yields the (z, mult) terms of x·y and is called
+    once per pair.  A term outside the basis raises ValueError."""
+    index = {b: i for i, b in enumerate(basis)}
+    if not index.keys() >= set(gens):
+        raise ValueError(f"generators {list(gens)} are not all in the basis")
+
+    def cell(x, y) -> tuple:
+        acc: dict = {}
+        for z, m in product(x, y):
+            if z not in index:
+                raise ValueError(f"{x!r}·{y!r} has the term {z!r} outside the basis")
+            acc[index[z]] = acc.get(index[z], 0) + m
+        return tuple(acc.items())
+
+    cells = [[cell(x, y) for y in basis] for x in basis]
+    return Report(tuple(_light_test(cells, [index[g] for g in gens]))).relabel(basis)
 
 
 def _check_cells(cells, n: int) -> None:
@@ -310,8 +346,7 @@ def verify_based_ring(cells, n: int, gens: Sequence[int]) -> Report:
                 failures.append(("nonnegativity", x, y))
             if cell != cells[y][x]:
                 failures.append(("symmetry", x, y))
-    light = verify_associativity(range(n), lambda x, y: cells[x][y], gens)
-    return Report((*failures, *light.failures))
+    return Report((*failures, *_light_test(cells, gens)))
 
 
 def verify_character(cells, chi: Sequence[int]) -> Report:
@@ -379,15 +414,11 @@ def verify_weight_one_tops(k: int) -> WeightOneReport:
     if k < 3:
         raise ValueError("needs level >= 3")
     h21 = conformal_weight(canonical_label(2, 1, k))
-    sums = []
-    for p in range(1, k):
-        total = minimal_model_weight(p, 1, 3)
-        for m in range(p + 1, k):
-            total += minimal_model_weight(m, 3, 3)
-        sums.append((p, total + h21))
-    return WeightOneReport(
-        k=k, passed=all(s == 1 for _, s in sums), sums=tuple(sums)
-    )
+    # tails[p - 1] = sum_{m=p+1}^{k-1} h^m_{3,3}, grown once from p = k-1 down
+    h33 = [minimal_model_weight(m, 3, 3) for m in range(k - 1, 1, -1)]
+    tails = [*itertools.accumulate(h33, initial=Fraction(0))][::-1]
+    sums = tuple((p, minimal_model_weight(p, 1, 3) + tail + h21) for p, tail in zip(range(1, k), tails))
+    return WeightOneReport(k=k, passed=all(s == 1 for _, s in sums), sums=sums)
 
 
 def twisted_conformal_weight(p: int) -> Fraction:

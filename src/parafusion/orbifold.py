@@ -156,17 +156,14 @@ def verify_table(table: OrbifoldTable) -> Report:
     ring = verify_based_ring(cells, len(basis), (1, 2))  # raises on a malformed table
     failures = [("generator_row", basis[g], basis[y]) for g in (1, 2)
                 for y, cell in enumerate(cells[g]) if cell != _generator_cell(g, y, table.k)]
-    failures += verify_sigma_grading(table).failures
-    failures += [f if f[0] == "generators_span" else (f[0], *(basis[t] for t in f[1:]))
-                 for f in ring.failures]
+    failures += verify_sigma_grading(table).failures + ring.relabel(basis).failures
     return Report(tuple(failures))
 
 
 def verify_sigma_grading(table: OrbifoldTable) -> Report:
     """Check the sign character multiplies along every nonzero product."""
     basis = table.basis
-    graded = verify_character(table.cells, [sign_character(x) for x in basis])
-    return Report(tuple((f[0], *(basis[t] for t in f[1:])) for f in graded.failures))
+    return verify_character(table.cells, [sign_character(x) for x in basis]).relabel(basis)
 
 
 def sigma_label(j: int, k: int):

@@ -42,6 +42,11 @@ class PairLabel:
     def __post_init__(self):
         if self.left.k != LEVEL or self.right.k != LEVEL:
             raise ValueError("both components must live at level 5")
+        # Hashed once: pairs key every dict of the induction.
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return (

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction as Q
 from importlib import resources
 
 import pytest
@@ -13,9 +14,50 @@ import parafusion.orbifold as orbifold_mod
 from parafusion.cli import main
 
 
+def _encode(obj):
+    """The payload as plain JSON data, Fractions as "a/b": the deep copy the
+    CLI made before ``json.dumps`` took a ``default`` for Fractions."""
+    if isinstance(obj, Q):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {str(k): _encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    return obj
+
+
+def keys(obj):
+    """Every dict key in a payload, at any depth."""
+    if isinstance(obj, dict):
+        yield from obj
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from keys(v)
+
+
 def run(capsys, *argv):
-    code = main(list(argv))
+    # Keep what the handler returns, so a JSON run can be checked against
+    # the _encode copy of its payload.
+    parser, results = cli_mod.build_parser(), []
+    parse_args = parser.parse_args
+
+    def keeping_results(args=None):
+        ns = parse_args(args)
+        handler = ns.handler
+        ns.handler = lambda a: results.append(handler(a)) or results[-1]
+        return ns
+
+    parser.parse_args = keeping_results
+    try:
+        code = main(list(argv))
+    finally:
+        del parser.parse_args
     captured = capsys.readouterr()
+    if "json" in argv and captured.out:
+        (_, payload, _), = results
+        assert all(isinstance(key, str) for key in keys(payload))
+        assert captured.out == json.dumps(_encode(payload), indent=2, sort_keys=True) + "\n"
     return code, captured.out, captured.err
 
 
@@ -79,6 +121,30 @@ def test_orbifold_table_corrected_cell(capsys):
     code, out, _ = run(capsys, "orbifold-table", "-k", "3")
     assert code == 0
     assert "W[1,0] * W[1,1] = W[0,1] + W[1,0]" in out
+
+
+def orbifold_table_by_products(k):
+    """The orbifold-table text lines and JSON payload built pair by pair
+    through ``table.product``, the route the CLI took before it read cells."""
+    table = orbifold_mod.derive_full_table(k)
+    lines, cells = [], []
+    for s, x in enumerate(table.basis):
+        for y in table.basis[s:]:
+            terms = list(table.product(x, y))
+            lines.append(f"{x!r} * {y!r} = " + " + ".join(
+                f"{m}*{z!r}" if m != 1 else repr(z) for z, m in terms))
+            cells.append({"left": [x.j, x.eps], "right": [y.j, y.eps],
+                          "terms": [{"j": z.j, "eps": z.eps, "mult": m} for z, m in terms]})
+    return lines, {"k": k, "cells": cells}
+
+
+def test_orbifold_table_matches_the_product_route(capsys):
+    for k in range(3, 25):
+        lines, payload = orbifold_table_by_products(k)
+        text = "".join(line + "\n" for line in lines)
+        assert run(capsys, "orbifold-table", "-k", str(k)) == (0, text, ""), k
+        assert run(capsys, "orbifold-table", "-k", str(k), "--format", "json") == (
+            0, json.dumps(payload, indent=2, sort_keys=True) + "\n", ""), k
 
 
 def test_sigma_check(capsys):

@@ -1,16 +1,18 @@
 """Level-k fusion ring: labels, products, gradings, weights."""
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parafusion.fusion import (
     FusionVector,
     IrrLabel,
     LevelMismatchError,
+    Report,
     _canonical,
     _fusion_rule,
     all_labels,
@@ -148,7 +150,7 @@ def test_fuse_runs_the_rule_once_per_cell(monkeypatch):
                 # Pairs in one cell share one vector, whose terms are the
                 # tuples _canonical holds for their labels.
                 assert first.setdefault(cell, got) is got, (x, y)
-                assert all(t is _canonical(t[0].i, t[0].j, k)[2] for t in got.terms)
+                assert all(t is _canonical(t[0].i, t[0].j, k)[1] for t in got.terms)
     assert sorted(calls) == sorted((i1, i2, c, k) for i1, i2, c in first)
     with pytest.raises(LevelMismatchError):
         fuse(canonical_label(1, 0, 5), canonical_label(1, 0, 6))
@@ -187,22 +189,93 @@ def test_light_test_computes_each_generator_product_once():
     k = 10
     labels = all_labels(k)
     gens = (canonical_label(1, 0, k), simple_current(1, k))
-    calls = 0
+    calls = Counter()
 
     def counting_fuse(a, b):
-        nonlocal calls
-        calls += 1
+        calls[a, b] += 1
         return fuse(a, b)
 
     assert verify_associativity(labels, counting_fuse, gens).passed
-    # x·g and g·y once each per generator; then one call per term of x·g
-    # against y and per term of g·y against x. The span certificate reuses
-    # the x·g products and makes no call.
+    # One call per cell x·y, into the index table the packed test and the
+    # span certificate read; neither makes a call of its own.
     n = len(labels)
-    expected = 2 * len(gens) * n + 2 * n * sum(
-        len(fuse(x, g)) for g in gens for x in labels
-    )
-    assert calls == expected == 17_270
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == n * n == 3_025
+
+
+def oracle_light_test(basis, product, gens):
+    """Light's test on dicts of labels, the route the packed index rows replaced:
+    each side of (x·g)·y = x·(g·y) is summed term by term into a dict."""
+
+    def times(u, v, prod=product):
+        acc = {}
+        for x, mx in u:
+            for y, my in v:
+                for z, mz in prod(x, y):
+                    acc[z] = acc.get(z, 0) + mx * my * mz
+        return {z: m for z, m in acc.items() if m}
+
+    xg = {(x, g): product(x, g) for g in gens for x in basis}
+    gy = {(g, y): product(g, y) for g in gens for y in basis}
+    failures = [
+        ("associativity", x, g, y)
+        for g in gens for x in basis for y in basis
+        if times(xg[x, g], ((y, 1),)) != times(((x, 1),), gy[g, y])
+    ]
+    pivots, reached = [], [{g: 1} for g in gens]
+    for v in reached:
+        row = v
+        for lab, p in pivots:
+            if row.get(lab):
+                c, d = row[lab], p[lab]
+                row = {x: d * row.get(x, 0) - c * p.get(x, 0) for x in row | p}
+                row = {x: m for x, m in row.items() if m}
+        if row:
+            pivots.append((next(iter(row)), row))
+            reached.extend(times(v.items(), ((g, 1),), lambda x, h: xg[x, h]) for g in gens)
+    if len(pivots) != len(basis):
+        failures.append(("generators_span", len(pivots), len(basis)))
+    return Report(tuple(failures))
+
+
+@st.composite
+def index_rings(draw):
+    """n <= 6 index cells with distinct, increasing term indices and
+    multiplicities in [-3, 40], zeros included, and one to three generators."""
+    n = draw(st.integers(1, 6))
+    cell = st.dictionaries(st.integers(0, n - 1), st.integers(-3, 40), max_size=n)
+    cells = [[tuple(sorted(draw(cell).items())) for _ in range(n)] for _ in range(n)]
+    return cells, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+
+
+# Rings at the packing width's edge: with a field one bit narrower (w without
+# its + 2) or sized by T alone, not T·M², one wrong cell packs equal.
+@example(([[(), (), ((0, -3), (1, 3), (2, -2))],
+           [((0, 3), (1, 3), (2, 3)), ((0, -3),), ((1, 1), (2, 1))],
+           [(), (), ((0, -3), (1, 3), (2, -3))]], [0]))
+@example(([[(), (), ()],
+           [((0, -3),), ((1, 3), (2, -1)), ()],
+           [((0, -2), (1, -1)), (), ()]], [1]))
+@settings(max_examples=300)
+@given(index_rings())
+def test_packed_light_test_matches_the_dict_oracle(ring):
+    cells, gens = ring
+    n = len(cells)
+    expected = oracle_light_test(range(n), lambda x, y: cells[x][y], gens).failures
+    assert verify_associativity(range(n), lambda x, y: cells[x][y], gens).failures == expected
+    ring_failures = verify_based_ring(cells, n, gens).failures
+    assert ring_failures[len(ring_failures) - len(expected):] == expected
+
+
+def test_light_test_on_a_basis_not_closed_is_a_value_error():
+    # M[1,0]·M[1,0] has the term M[4,3], which the basis leaves out.
+    k = 4
+    basis = all_labels(k)[:-1]
+    gens = (canonical_label(1, 0, k), canonical_label(4, 1, k))
+    with pytest.raises(ValueError, match=r"M\[1,0\]·M\[1,0\] has the term M\[4,3\] outside"):
+        verify_associativity(basis, fuse, gens)
+    with pytest.raises(ValueError, match="not all in the basis"):
+        verify_associativity(basis, fuse, (canonical_label(4, 3, k),))
 
 
 def test_simple_current_alone_spans_only_its_orbit():
@@ -413,6 +486,18 @@ def test_weight_one_tops_small():
         report = verify_weight_one_tops(k)
         assert report.passed
         assert all(total == 1 for _, total in report.sums)
+
+
+def test_weight_one_suffix_sums_match_the_double_loop():
+    # The double loop re-sums h^m_{3,3} over m = p+1 .. k-1 for every p.
+    for k in range(3, 41):
+        h21 = conformal_weight(canonical_label(2, 1, k))
+        expected = tuple(
+            (p, minimal_model_weight(p, 1, 3)
+             + sum((minimal_model_weight(m, 3, 3) for m in range(p + 1, k)), Q(0)) + h21)
+            for p in range(1, k)
+        )
+        assert verify_weight_one_tops(k).sums == expected, k
 
 
 def test_fusion_vector_algebra():
